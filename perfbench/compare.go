@@ -59,10 +59,11 @@ func loadResults(dir string) (map[string]map[string][]float64, error) {
 
 // verdict compares two samples of one metric. better is "lower" or
 // "higher"; bound is the metric's regression bound (0 for per-layer
-// metrics). "better" and "worse" need the quartile ranges to separate
-// (or, for worse, the median to move past the bound); "same" needs the
-// median within the bound with both spreads inside it; anything else
-// is "unresolved".
+// metrics). "better" needs the quartile ranges to separate. For a
+// metric with a bound, "worse" means the median got worse by more than
+// the bound, as the gate rejects it, and a smaller move is "same" when
+// both spreads are inside the bound; a per-layer metric is "worse" when
+// the quartile ranges separate. Anything else is "unresolved".
 func verdict(base, next []float64, better string, bound float64) string {
 	bm, nm := median(base), median(next)
 	bq1, bq3 := quantile(base, 0.25), quantile(base, 0.75)
@@ -74,13 +75,13 @@ func verdict(base, next []float64, better string, bound float64) string {
 	switch {
 	case nq3 < bq1:
 		return "better"
-	case nq1 > bq3:
+	case bound == 0 && nq1 > bq3:
 		return "worse"
-	case bm != 0 && bound > 0 && (nm-bm)/abs(bm) > bound:
+	case bound == 0 || bm == 0 || nm == 0:
+		return "unresolved"
+	case (nm-bm)/abs(bm) > bound:
 		return "worse"
-	}
-	if bound > 0 && bm != 0 && abs(nm-bm)/abs(bm) <= bound &&
-		(bq3-bq1)/abs(bm) <= bound && nm != 0 && (nq3-nq1)/abs(nm) <= bound {
+	case (bq3-bq1)/abs(bm) <= bound && (nq3-nq1)/abs(nm) <= bound:
 		return "same"
 	}
 	return "unresolved"

@@ -52,19 +52,22 @@ type metricSpec struct {
 
 // bench is the state of one run.
 type bench struct {
-	seed     int64
-	seconds  time.Duration
-	traced   bool
-	binDir   string
-	workDir  string
-	out      io.Writer // human-readable report
-	tr       *tracer
-	metrics  map[string]float64
-	units    map[string]string
-	mu       sync.Mutex // guards the check counters
-	attempts int
-	failures int
-	notes    []string // first few failure descriptions
+	seed    int64
+	seconds time.Duration
+	traced  bool
+	binDir  string
+	workDir string
+	out     io.Writer // human-readable report
+	tr      *tracer
+	// setupMines are the wall times net of steal, in ms, of the Mine
+	// calls that build the served index, one per set-up.
+	setupMines []float64
+	metrics    map[string]float64
+	units      map[string]string
+	mu         sync.Mutex // guards the check counters
+	attempts   int
+	failures   int
+	notes      []string // first few failure descriptions
 }
 
 // set records a metric value with its unit.

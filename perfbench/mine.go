@@ -28,6 +28,7 @@ type mineCall struct {
 	op       int
 	secs     float64
 	cpu      float64 // process CPU seconds, every goroutine (GC included)
+	steal    float64 // steal share of the machine's CPU time during the call
 	heapPeak float64
 	allocs   float64
 	bytes    float64
@@ -138,7 +139,7 @@ func mineWorkload(ctx context.Context, b *bench, st mineState, ops []mineOp) err
 		}
 		calls = append(calls, cs...)
 		split := cpuSplit{}
-		if err := parseCPUProfile(prof.Bytes(), split); err != nil {
+		if err := parseCPUProfile(prof.Bytes(), b.workDir, split); err != nil {
 			return err
 		}
 		setCPU(b, split)
@@ -160,6 +161,16 @@ func mineWorkload(ctx context.Context, b *bench, st mineState, ops []mineOp) err
 	b.set("cpu_ms", median(pick(0, false, cpu)), "ms")
 	b.set("alt_cpu_ms", median(pick(1, false, cpu)), "ms")
 	b.set("memory_bytes", median(pick(0, false, func(c mineCall) float64 { return c.heapPeak })), "bytes")
+	// The steal share over the headline calls, weighted by their length.
+	var stolen, total float64
+	for _, c := range calls {
+		if c.op == 0 && !c.traced {
+			stolen += c.steal * c.secs
+			total += c.secs
+		}
+	}
+	b.set("run.steal_share", stolen/total, "ratio")
+	b.set("mine_wall_ms", netOfSteal(median(main), stolen/total), "ms")
 	b.set("e2e.mine_s", median(main)/1e3, "s")
 	b.set("e2e.mine_heap_peak_bytes", b.metrics["memory_bytes"], "bytes")
 	if ops[1].p.EpsilonMode == core.EpsilonSampled {
@@ -214,10 +225,18 @@ func mineLoop(ctx context.Context, b *bench, st mineState, ops []mineOp, budget 
 			runtime.ReadMemStats(&before)
 			heap.reset()
 			sp := b.tr.start("core.Mine." + op.name)
+			clock, err := startStealClock()
+			if err != nil {
+				return nil, err
+			}
 			t0, c0 := time.Now(), selfCPU()
 			res, err := core.Mine(ctx, op.g, op.p, nil)
 			secs, cpu := time.Since(t0).Seconds(), selfCPU()-c0
+			steal, serr := clock.share()
 			sp.end()
+			if serr != nil {
+				return nil, serr
+			}
 			peak := heap.peak()
 			runtime.ReadMemStats(&after)
 			if err != nil {
@@ -225,7 +244,7 @@ func mineLoop(ctx context.Context, b *bench, st mineState, ops []mineOp, budget 
 			}
 			b.check(digest(res) == op.ref, "%s Mine digest differs from the parallelism-1 reference", op.name)
 			calls = append(calls, mineCall{
-				op: i, secs: secs, cpu: cpu, heapPeak: peak, traced: traced, stats: res.Stats,
+				op: i, secs: secs, cpu: cpu, steal: steal, heapPeak: peak, traced: traced, stats: res.Stats,
 				allocs: float64(after.Mallocs - before.Mallocs),
 				bytes:  float64(after.TotalAlloc - before.TotalAlloc),
 				gcs:    float64(after.NumGC - before.NumGC),

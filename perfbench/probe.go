@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -146,9 +147,10 @@ func lookup(x *index.Index, q *queryPools, rng *rand.Rand, zipf *rand.Zipf, c in
 	case "sets_contains":
 		x.Supersets([]string{q.attrs[rng.Intn(len(q.attrs))]})
 	case "sets_top":
-		x.Sets()
+		listSets(x, nil, 10)
 	case "sets_ranked":
-		x.TopSets(core.Ranking(rng.Intn(3)), 10)
+		r := core.Ranking(rng.Intn(3))
+		listSets(x, &r, 10)
 	case "patterns_by_vertex":
 		x.PatternsWithVertex(q.patVertices[rng.Intn(len(q.patVertices))])
 	case "vertex":
@@ -162,4 +164,54 @@ func lookup(x *index.Index, q *queryPools, rng *rand.Rand, zipf *rand.Zipf, c in
 		x.Exact(q.infrequent[rng.Intn(len(q.infrequent))])
 	}
 	return ms(time.Since(t))
+}
+
+// listSets does the index-side work of an unfiltered GET /sets?k=…
+// (with rank=… when r is not nil) the way the server's handler does it:
+// the position of every set, the threshold filter (the defaults keep
+// every set), a stable sort by the ranking with ties broken by support
+// then position, and the cut to the first k.
+func listSets(x *index.Index, r *core.Ranking, k int) []int {
+	idxs := make([]int, x.NumSets())
+	for i := range idxs {
+		idxs[i] = i
+	}
+	sets := x.Sets()
+	kept := idxs[:0]
+	for _, i := range idxs {
+		if sets[i].Support >= 0 && sets[i].Epsilon >= 0 && sets[i].Delta >= 0 {
+			kept = append(kept, i)
+		}
+	}
+	idxs = kept
+	if r != nil {
+		sort.SliceStable(idxs, func(a, b int) bool {
+			s, t := sets[idxs[a]], sets[idxs[b]]
+			switch *r {
+			case core.BySupport:
+				if s.Support != t.Support {
+					return s.Support > t.Support
+				}
+			case core.ByEpsilon:
+				if s.Epsilon != t.Epsilon {
+					return s.Epsilon > t.Epsilon
+				}
+			case core.ByDelta:
+				if s.Delta != t.Delta {
+					if math.IsInf(s.Delta, 1) {
+						return true
+					}
+					if math.IsInf(t.Delta, 1) {
+						return false
+					}
+					return s.Delta > t.Delta
+				}
+			}
+			if s.Support != t.Support {
+				return s.Support > t.Support
+			}
+			return idxs[a] < idxs[b]
+		})
+	}
+	return idxs[:min(k, len(idxs))]
 }

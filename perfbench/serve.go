@@ -31,11 +31,15 @@ import (
 // limitP99MS the latency limit a ladder rate must meet. The limit is
 // 100 ms rather than 50: on a 2-vCPU box one sets_ranked request alone
 // takes 25–45 ms of service, so 50 ms leaves no room for any queueing.
+// The closed-loop capacity runs rounds of saturationRound requests,
+// at least saturationRounds of them and for at least saturationBudget.
 const (
-	nominalRate        = 100.0
-	saturationRequests = 1500
-	ladderStep         = 1.25
-	limitP99MS         = 100.0
+	nominalRate      = 100.0
+	ladderStep       = 1.25
+	limitP99MS       = 100.0
+	saturationRound  = 300
+	saturationRounds = 5
+	saturationBudget = 2 * time.Second
 )
 
 // child is one server process the benchmark started.
@@ -233,13 +237,14 @@ func cpuOf(cs ...*child) (float64, error) {
 }
 
 // profileAsync fetches a CPU profile of the process over the next
-// seconds; the returned function waits for it and bills it into split.
-func (c *child) profileAsync(seconds int, split cpuSplit) func() error {
+// seconds; the returned function waits for it and bills it into split
+// (the profile passes through a temporary file in dir).
+func (c *child) profileAsync(seconds int, dir string, split cpuSplit) func() error {
 	ch := make(chan error, 1)
 	go func() {
 		body, err := c.get(fmt.Sprintf("/debug/pprof/profile?seconds=%d", seconds))
 		if err == nil {
-			err = parseCPUProfile(body, split)
+			err = parseCPUProfile(body, dir, split)
 		}
 		ch <- err
 	}()
@@ -301,10 +306,21 @@ func setupServing(ctx context.Context, b *bench, shards bool) (serveState, error
 		return serveState{}, err
 	}
 	p := d.params(runtime.NumCPU())
-	res, err := mine(ctx, b, d.g, p, "core.Mine.setup")
+	clock, err := startStealClock()
 	if err != nil {
 		return serveState{}, err
 	}
+	t0 := time.Now()
+	res, err := mine(ctx, b, d.g, p, "core.Mine.setup")
+	wall := ms(time.Since(t0))
+	if err != nil {
+		return serveState{}, err
+	}
+	share, err := clock.share()
+	if err != nil {
+		return serveState{}, err
+	}
+	b.setupMines = append(b.setupMines, netOfSteal(wall, share))
 	st := serveState{d: d, res: res, snap: filepath.Join(b.workDir, "dblp.scpmidx")}
 	if err := writeSnapshot(b, st.snap, d, res); err != nil {
 		return serveState{}, err
@@ -368,6 +384,7 @@ func runServe(ctx context.Context, b *bench) error {
 	if err != nil {
 		return err
 	}
+	b.set("mine_wall_ms", median(b.setupMines), "ms")
 	shape(b, st.d, st.res)
 	tw, err := openTwin(b, st.d, st.snap)
 	if err != nil {
@@ -425,7 +442,7 @@ func runServe(ctx context.Context, b *bench) error {
 		// A second direct phase with the server profiled: its p50 minus
 		// the untraced one is the tracing overhead.
 		split := cpuSplit{}
-		wait := direct.profileAsync(int(phase.Seconds()), split)
+		wait := direct.profileAsync(int(phase.Seconds()), b.workDir, split)
 		out2, ps2, err := runPhase(b, "direct-traced", direct.base, tw.pools, seed+1, nominalRate, phase, conns, everyNth(0))
 		if err != nil {
 			return err
@@ -451,17 +468,7 @@ func runServe(ctx context.Context, b *bench) error {
 	b.set("memory_bytes", rss, "bytes")
 	b.set("e2e.server_rss_bytes", rss, "bytes")
 
-	// Capacity: the requests of a fresh schedule sent back to back over
-	// the same connections (a closed loop).
-	sat := tw.pools.schedule(seed+3, nominalRate, saturationRequests*time.Second/nominalRate)
-	for i := range sat {
-		sat[i].due = 0
-	}
-	runtime.GC()
-	t0 := time.Now()
-	sout := openLoop(direct.base, sat, conns, everyNth(0))
-	b.set("e2e.saturated_qps", float64(len(sout))/time.Since(t0).Seconds(), "1/s")
-	checkStatuses(b, "saturation", sout)
+	b.set("e2e.saturated_qps", 1e3/saturate(b, "saturation", direct, tw.pools, seed+3, conns), "1/s")
 
 	// The same mix through scpm-gateway in front of two shard replicas.
 	var (
@@ -525,6 +532,31 @@ func runServe(ctx context.Context, b *bench) error {
 	b.set("e2e.max_qps", maxQPS(b, direct, tw.pools, conns), "1/s")
 	setShardSpans(b)
 	return probe(ctx, b, st.d, st.res, st.d.params(runtime.NumCPU()))
+}
+
+// saturate measures the capacity of a server without a latency limit:
+// rounds of saturationRound requests, each a fresh schedule sent back
+// to back over conns connections (a closed loop), until
+// saturationBudget has passed and at least saturationRounds rounds
+// ran. It checks every status and returns the median round's wall time
+// per request in ms.
+func saturate(b *bench, label string, c *child, q *queryPools, seed int64, conns int) float64 {
+	var perReq []float64
+	runtime.GC()
+	start := time.Now()
+	for r := 0; r < saturationRounds || time.Since(start) < saturationBudget; r++ {
+		sched := q.schedule(seed+int64(r)*104729, nominalRate, saturationRound*time.Second/nominalRate)
+		for i := range sched {
+			sched[i].due = 0
+		}
+		t0 := time.Now()
+		out := openLoop(c.base, sched, conns, everyNth(0))
+		perReq = append(perReq, ms(time.Since(t0))/float64(len(out)))
+		checkStatuses(b, label, out)
+	}
+	fmt.Fprintf(b.out, "%s: %d rounds of %d requests over %d conns: median %.3f ms/request\n",
+		label, len(perReq), saturationRound, conns, median(perReq))
+	return median(perReq)
 }
 
 // everyNth keeps the body of every nth request (0: none).

@@ -3,11 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -165,46 +165,58 @@ func layerOf(fn string) string {
 	return ""
 }
 
-// parseCPUProfile reads a gzipped pprof CPU profile and bills each
-// sample's CPU time to a layer: GC work (any frame in the mark or sweep
-// workers or in a mutator assist) to "runtime.gc", other samples under
-// runtime.mallocgc to "runtime.malloc", and the rest by leaf frame.
-func parseCPUProfile(data []byte, into cpuSplit) error {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
+// parseCPUProfile bills each sample of a pprof CPU profile to a layer:
+// GC work (any frame in the mark or sweep workers or in a mutator
+// assist) to "runtime.gc", other samples under runtime.mallocgc to
+// "runtime.malloc", and the rest by leaf frame. The profile is decoded
+// by the toolchain's own pprof (`go tool pprof -traces`), which prints
+// each sample's stack leaf first.
+func parseCPUProfile(data []byte, dir string, into cpuSplit) error {
+	f, err := os.CreateTemp(dir, "cpu-*.pprof")
 	if err != nil {
 		return err
 	}
-	raw, err := io.ReadAll(zr)
+	defer os.Remove(f.Name())
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
-	p, err := decodeProfile(raw)
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", "tool", "pprof", "-traces", f.Name())
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return err
+		return fmt.Errorf("go tool pprof: %v: %s", err, stderr.Bytes())
 	}
-	vi := -1
-	for i, st := range p.sampleTypes {
-		if p.str(st[0]) == "cpu" {
-			vi = i
+	return billTraces(out, into)
+}
+
+// billTraces reads the output of `go tool pprof -traces`: after a
+// header, blocks separated by "-----" lines, each holding the sample's
+// labels ("key:  value"), then its value and leaf function on one line
+// ("      10ms   pkg.fn"), then one caller per line, indented past the
+// value column. Inlined frames carry an " (inline)" suffix.
+func billTraces(out []byte, into cpuSplit) error {
+	const indent = "             " // the 10-column value and 3 spaces
+	var (
+		started bool
+		secs    float64
+		frames  []string
+	)
+	flush := func() {
+		if len(frames) == 0 {
+			return
 		}
-	}
-	if vi < 0 {
-		return fmt.Errorf("profile has no cpu sample type")
-	}
-	for _, s := range p.samples {
-		if vi >= len(s.values) || len(s.locs) == 0 {
-			continue
-		}
-		secs := float64(s.values[vi]) / 1e9
 		var gc, malloc bool
-		for _, loc := range s.locs {
-			for _, fn := range p.locFuncs[loc] {
-				switch fn {
-				case "runtime.gcBgMarkWorker", "runtime.gcAssistAlloc", "runtime.bgsweep", "runtime.bgscavenge":
-					gc = true
-				case "runtime.mallocgc":
-					malloc = true
-				}
+		for _, fn := range frames {
+			switch fn {
+			case "runtime.gcBgMarkWorker", "runtime.gcAssistAlloc", "runtime.bgsweep", "runtime.bgscavenge":
+				gc = true
+			case "runtime.mallocgc":
+				malloc = true
 			}
 		}
 		switch {
@@ -213,190 +225,40 @@ func parseCPUProfile(data []byte, into cpuSplit) error {
 		case malloc:
 			into["runtime.malloc"] += secs
 		default:
-			if fns := p.locFuncs[s.locs[0]]; len(fns) > 0 {
-				if l := layerOf(fns[0]); l != "" {
-					into[l] += secs
-				}
+			if l := layerOf(frames[0]); l != "" {
+				into[l] += secs
 			}
 		}
+		frames = frames[:0]
 	}
-	return nil
-}
-
-// profile is the part of profile.proto the split needs.
-type profile struct {
-	sampleTypes [][2]int64 // (type, unit) string indices
-	samples     []profSample
-	locFuncs    map[uint64][]string // location id → function names, leaf first
-	strings     []string
-}
-
-type profSample struct {
-	locs   []uint64
-	values []int64
-}
-
-func (p *profile) str(i int64) string {
-	if i >= 0 && int(i) < len(p.strings) {
-		return p.strings[i]
-	}
-	return ""
-}
-
-// decodeProfile decodes the protobuf wire format of a pprof profile.
-func decodeProfile(b []byte) (*profile, error) {
-	p := &profile{locFuncs: map[uint64][]string{}}
-	locLines := map[uint64][]uint64{} // location → function ids
-	funcNames := map[uint64]int64{}   // function id → name string index
-	err := pbFields(b, func(field int, wire int, v uint64, sub []byte) error {
-		switch field {
-		case 1: // sample_type
-			var st [2]int64
-			pbFields(sub, func(f, _ int, v uint64, _ []byte) error { //nolint:errcheck
-				if f == 1 || f == 2 {
-					st[f-1] = int64(v)
-				}
-				return nil
-			})
-			p.sampleTypes = append(p.sampleTypes, st)
-		case 2: // sample
-			var s profSample
-			err := pbFields(sub, func(f, w int, v uint64, sub2 []byte) error {
-				switch {
-				case f == 1 && w == 2:
-					return pbPacked(sub2, func(x uint64) { s.locs = append(s.locs, x) })
-				case f == 1:
-					s.locs = append(s.locs, v)
-				case f == 2 && w == 2:
-					return pbPacked(sub2, func(x uint64) { s.values = append(s.values, int64(x)) })
-				case f == 2:
-					s.values = append(s.values, int64(v))
-				}
-				return nil
-			})
-			if err != nil {
-				return err
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSuffix(sc.Text(), " (inline)")
+		switch {
+		case strings.HasPrefix(line, "-----"):
+			flush()
+			started = true
+		case !started:
+		case strings.HasPrefix(line, indent):
+			if len(frames) > 0 {
+				frames = append(frames, strings.TrimSpace(line))
 			}
-			p.samples = append(p.samples, s)
-		case 4: // location
-			var id uint64
-			var fns []uint64
-			err := pbFields(sub, func(f, _ int, v uint64, sub2 []byte) error {
-				switch f {
-				case 1:
-					id = v
-				case 4: // line
-					return pbFields(sub2, func(f3, _ int, v3 uint64, _ []byte) error {
-						if f3 == 1 {
-							fns = append(fns, v3)
-						}
-						return nil
-					})
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			locLines[id] = fns
-		case 5: // function
-			var id uint64
-			var name int64
-			pbFields(sub, func(f, _ int, v uint64, _ []byte) error { //nolint:errcheck
-				switch f {
-				case 1:
-					id = v
-				case 2:
-					name = int64(v)
-				}
-				return nil
-			})
-			funcNames[id] = name
-		case 6: // string_table
-			p.strings = append(p.strings, string(sub))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for loc, fns := range locLines {
-		for _, f := range fns {
-			p.locFuncs[loc] = append(p.locFuncs[loc], p.str(funcNames[f]))
-		}
-	}
-	return p, nil
-}
-
-// pbFields walks the fields of one protobuf message, passing varint
-// values as v and length-delimited payloads as sub.
-func pbFields(b []byte, fn func(field, wire int, v uint64, sub []byte) error) error {
-	for len(b) > 0 {
-		key, n := pbVarint(b)
-		if n <= 0 {
-			return fmt.Errorf("profile: bad field key")
-		}
-		b = b[n:]
-		field, wire := int(key>>3), int(key&7)
-		var (
-			v   uint64
-			sub []byte
-		)
-		switch wire {
-		case 0:
-			v, n = pbVarint(b)
-			if n <= 0 {
-				return fmt.Errorf("profile: bad varint")
-			}
-			b = b[n:]
-		case 1:
-			if len(b) < 8 {
-				return fmt.Errorf("profile: truncated fixed64")
-			}
-			b = b[8:]
-		case 2:
-			l, n := pbVarint(b)
-			if n <= 0 || uint64(len(b)-n) < l {
-				return fmt.Errorf("profile: truncated bytes")
-			}
-			sub = b[n : n+int(l)]
-			b = b[n+int(l):]
-		case 5:
-			if len(b) < 4 {
-				return fmt.Errorf("profile: truncated fixed32")
-			}
-			b = b[4:]
 		default:
-			return fmt.Errorf("profile: wire type %d", wire)
-		}
-		if err := fn(field, wire, v, sub); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func pbPacked(b []byte, fn func(uint64)) error {
-	for len(b) > 0 {
-		v, n := pbVarint(b)
-		if n <= 0 {
-			return fmt.Errorf("profile: bad packed varint")
-		}
-		fn(v)
-		b = b[n:]
-	}
-	return nil
-}
-
-func pbVarint(b []byte) (uint64, int) {
-	var v uint64
-	for i := 0; i < len(b) && i < 10; i++ {
-		v |= uint64(b[i]&0x7f) << (7 * i)
-		if b[i] < 0x80 {
-			return v, i + 1
+			value, fn, ok := strings.Cut(strings.TrimSpace(line), "   ")
+			if !ok || strings.HasSuffix(value, ":") {
+				continue // a sample label
+			}
+			d, err := time.ParseDuration(strings.Replace(value, "hrs", "h", 1))
+			if err != nil {
+				return fmt.Errorf("pprof -traces: bad sample value %q", value)
+			}
+			secs = d.Seconds()
+			frames = append(frames, strings.TrimSpace(fn))
 		}
 	}
-	return 0, 0
+	flush()
+	return sc.Err()
 }
 
 // setCPU records the per-layer CPU self times of a split.

@@ -137,6 +137,7 @@ func runUpdate(ctx context.Context, b *bench) error {
 	if err != nil {
 		return err
 	}
+	b.set("mine_wall_ms", median(b.setupMines), "ms")
 	shape(b, st.d, st.res)
 	tw, err := openTwin(b, st.d, st.snap)
 	if err != nil {
@@ -195,7 +196,7 @@ func runUpdate(ctx context.Context, b *bench) error {
 	split := cpuSplit{}
 	var waitProf func() error
 	if b.traced {
-		waitProf = srv.profileAsync(int(b.seconds.Seconds()), split)
+		waitProf = srv.profileAsync(int(b.seconds.Seconds()), b.workDir, split)
 	}
 	// Reads at the nominal rate while the updates arrive.
 	visible := make(chan []float64, 1)
@@ -233,6 +234,7 @@ func runUpdate(ctx context.Context, b *bench) error {
 	b.set("e2e.update_visible_s", median(vs)/1e3, "s")
 	b.set("e2e.query_p50_ms", ps.p50, "ms")
 	b.set("e2e.query_p99_ms", ps.p99, "ms")
+	b.set("e2e.saturated_qps", 1e3/saturate(b, "saturation", srv, tw.pools, b.seed*1000+4, conns), "1/s")
 	rss, err := srv.hwm()
 	if err != nil {
 		return err
