@@ -18,6 +18,7 @@ import (
 // must reproduce.
 type mineOp struct {
 	name string
+	role int // 0: the headline Mine, 1: the alternative
 	g    *graph.Graph
 	p    core.Params
 	ref  [32]byte
@@ -25,7 +26,7 @@ type mineOp struct {
 
 // mineCall is the measurement of one Mine call.
 type mineCall struct {
-	op       int
+	role     int
 	secs     float64
 	cpu      float64 // process CPU seconds, every goroutine (GC included)
 	steal    float64 // steal share of the machine's CPU time during the call
@@ -39,9 +40,10 @@ type mineCall struct {
 
 // mineState is what a mining workload's set-up leaves behind.
 type mineState struct {
-	d    *dataset
-	refs [][32]byte
-	res  *core.Result // the parallelism-1 exact reference, for the shape line
+	d      *dataset
+	graphs []*graph.Graph // mine-dense: the labellings of the exact Mine
+	refs   [][32]byte
+	res    *core.Result // the parallelism-1 exact reference, for the shape line
 }
 
 // runMineDBLP: repeated exact Mine on dblp@0.2 at nproc, alternating
@@ -64,13 +66,25 @@ func runMineDBLP(ctx context.Context, b *bench) error {
 	shape(b, st.d, st.res)
 	st.res = nil // only the digests stay live while Mine is measured
 	ops := []mineOp{
-		{"exact", st.d.g, st.d.params(runtime.NumCPU()), st.refs[0]},
-		{"exact_p1", st.d.g, st.d.params(1), st.refs[0]},
+		{"exact", 0, st.d.g, st.d.params(runtime.NumCPU()), st.refs[0]},
+		{"exact_p1", 1, st.d.g, st.d.params(1), st.refs[0]},
 	}
 	return mineWorkload(ctx, b, st, ops)
 }
 
-// runMineDense: repeated exact and sampled Mine on dense@0.2 at nproc.
+// denseLabellings is how many labellings of dense@0.2 the exact Mine
+// of one mine-dense run cycles through: the seed's own and ones drawn
+// from it. How evenly the parallel search splits between the CPUs
+// follows the vertex ids, so one labelling's wall time differs from
+// another's by up to ~20% with the same CPU time; a run's median over
+// several labellings moves far less from seed to seed.
+const denseLabellings = 6
+
+// labellingSeed is the relabelling seed of a run's k-th labelling.
+func labellingSeed(seed int64, k int) int64 { return seed + int64(k)<<32 }
+
+// runMineDense: repeated exact and sampled Mine on dense@0.2 at nproc,
+// the exact Mine on denseLabellings labellings in turn.
 // The sampled Mine runs on the profile's own labelling: which vertices
 // the estimator samples follows the vertex ids, and under some
 // relabellings a borderline set crosses εmin (3 sets instead of 2, at
@@ -82,15 +96,29 @@ func runMineDense(ctx context.Context, b *bench) error {
 		if err != nil {
 			return mineState{}, err
 		}
-		ref, err := mine(ctx, b, d.g, d.params(1), "core.Mine.reference")
-		if err != nil {
-			return mineState{}, err
-		}
 		sref, err := mine(ctx, b, d.orig, sampled(d.params(1)), "core.Mine.reference")
 		if err != nil {
 			return mineState{}, err
 		}
-		return mineState{d: d, refs: [][32]byte{digest(ref), digest(sref)}, res: ref}, nil
+		st := mineState{d: d, refs: [][32]byte{digest(sref)}}
+		for k := range denseLabellings {
+			g := d.g
+			if k > 0 {
+				if g, err = relabel(d.orig, labellingSeed(b.seed, k)); err != nil {
+					return mineState{}, err
+				}
+			}
+			ref, err := mine(ctx, b, g, d.params(1), "core.Mine.reference")
+			if err != nil {
+				return mineState{}, err
+			}
+			if k == 0 {
+				st.res = ref
+			}
+			st.graphs = append(st.graphs, g)
+			st.refs = append(st.refs, digest(ref))
+		}
+		return st, nil
 	})
 	if err != nil {
 		return err
@@ -98,24 +126,28 @@ func runMineDense(ctx context.Context, b *bench) error {
 	shape(b, st.d, st.res)
 	st.res = nil // only the digests stay live while Mine is measured
 	n := runtime.NumCPU()
-	ops := []mineOp{
-		{"exact", st.d.g, st.d.params(n), st.refs[0]},
-		{"sampled", st.d.orig, sampled(st.d.params(n)), st.refs[1]},
+	// Each exact call is followed by a sampled one, so both are timed
+	// as often as each other.
+	var ops []mineOp
+	for k, g := range st.graphs {
+		ops = append(ops,
+			mineOp{"exact", 0, g, st.d.params(n), st.refs[1+k]},
+			mineOp{"sampled", 1, st.d.orig, sampled(st.d.params(n)), st.refs[0]})
 	}
 	return mineWorkload(ctx, b, st, ops)
 }
 
 // mineWorkload times the ops round-robin for the run's budget and
-// records the metrics; op 0 is the headline, op 1 the alternative.
+// records the metrics of the headline and the alternative role.
 func mineWorkload(ctx context.Context, b *bench, st mineState, ops []mineOp) error {
 	// Warm-up: one checked call per op lets pools, caches and the heap
 	// reach their steady size before the clock starts.
-	for i, op := range ops {
+	for _, op := range ops {
 		res, err := core.Mine(ctx, op.g, op.p, nil)
 		if err != nil {
 			return err
 		}
-		b.check(digest(res) == op.ref, "warm-up %s Mine digest differs from the parallelism-1 reference", ops[i].name)
+		b.check(digest(res) == op.ref, "warm-up %s Mine digest differs from the parallelism-1 reference", op.name)
 	}
 	var calls []mineCall
 	untraced := b.seconds
@@ -145,10 +177,10 @@ func mineWorkload(ctx context.Context, b *bench, st mineState, ops []mineOp) err
 		setCPU(b, split)
 	}
 
-	pick := func(op int, traced bool, f func(mineCall) float64) []float64 {
+	pick := func(role int, traced bool, f func(mineCall) float64) []float64 {
 		var xs []float64
 		for _, c := range calls {
-			if c.op == op && c.traced == traced {
+			if c.role == role && c.traced == traced {
 				xs = append(xs, f(c))
 			}
 		}
@@ -164,13 +196,16 @@ func mineWorkload(ctx context.Context, b *bench, st mineState, ops []mineOp) err
 	// The steal share over the headline calls, weighted by their length.
 	var stolen, total float64
 	for _, c := range calls {
-		if c.op == 0 && !c.traced {
+		if c.role == 0 && !c.traced {
 			stolen += c.steal * c.secs
 			total += c.secs
 		}
 	}
 	b.set("run.steal_share", stolen/total, "ratio")
-	b.set("mine_wall_ms", netOfSteal(median(main), stolen/total), "ms")
+	// Each call net of the steal during it: steal comes in bursts, and
+	// a median of the calls' own corrections follows them more closely
+	// than one correction by the run's share.
+	b.set("mine_wall_ms", median(pick(0, false, func(c mineCall) float64 { return netOfSteal(c.secs*1e3, c.steal) })), "ms")
 	b.set("e2e.mine_s", median(main)/1e3, "s")
 	b.set("e2e.mine_heap_peak_bytes", b.metrics["memory_bytes"], "bytes")
 	if ops[1].p.EpsilonMode == core.EpsilonSampled {
@@ -190,7 +225,7 @@ func mineWorkload(ctx context.Context, b *bench, st mineState, ops []mineOp) err
 	b.set("core.gc_cycles", median(pick(0, true, func(c mineCall) float64 { return c.gcs })), "count")
 	last := calls[len(calls)-1].stats
 	for _, c := range calls {
-		if c.op == 0 {
+		if c.role == 0 {
 			last = c.stats
 		}
 	}
@@ -220,7 +255,7 @@ func mineLoop(ctx context.Context, b *bench, st mineState, ops []mineOp, budget 
 	defer heap.stop()
 	start := time.Now()
 	for round := 0; round < 3 || time.Since(start) < budget; round++ {
-		for i, op := range ops {
+		for _, op := range ops {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			heap.reset()
@@ -244,7 +279,7 @@ func mineLoop(ctx context.Context, b *bench, st mineState, ops []mineOp, budget 
 			}
 			b.check(digest(res) == op.ref, "%s Mine digest differs from the parallelism-1 reference", op.name)
 			calls = append(calls, mineCall{
-				op: i, secs: secs, cpu: cpu, steal: steal, heapPeak: peak, traced: traced, stats: res.Stats,
+				role: op.role, secs: secs, cpu: cpu, steal: steal, heapPeak: peak, traced: traced, stats: res.Stats,
 				allocs: float64(after.Mallocs - before.Mallocs),
 				bytes:  float64(after.TotalAlloc - before.TotalAlloc),
 				gcs:    float64(after.NumGC - before.NumGC),

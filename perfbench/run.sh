@@ -18,6 +18,11 @@ export GOCACHE="$build/gocache" GOMODCACHE="$build/gomodcache" GOPATH="$build/go
 export HOME="$build/home" XDG_CONFIG_HOME="$build/home/.config" TMPDIR="$build/tmp"
 export GOFLAGS=-mod=mod GOTOOLCHAIN=local GOENV=off GOPROXY=off GOWORK=off
 
+# With a fresh HOME every go command would otherwise start a detached
+# telemetry process that outlives the run. `go telemetry off` is the one
+# go command that starts none; it records the mode under $HOME.
+go telemetry off >&2
+
 # The build is not part of any measurement; its output goes to stderr
 # so the result line stays the last line of stdout.
 (cd "$root" && go build -o "$build/bin/" ./cmd/scpm-serve ./cmd/scpm-gateway) >&2
