@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -27,7 +27,9 @@ type serveEndpoint struct {
 
 // serveReport is the "serve" section of BENCH_serve.json: index build
 // cost, snapshot size and query throughput on the committed quickstart
-// dataset (the paper's 11-vertex worked example).
+// dataset (the paper's 11-vertex worked example). The snapshot columns
+// measure the file scpm-serve boots from: the v3 snapshot written by
+// WriteSnapshot and reopened with an mmap OpenSnapshot.
 type serveReport struct {
 	Sets          int     `json:"sets"`
 	Patterns      int     `json:"patterns"`
@@ -70,15 +72,28 @@ func runServeBench(ctx context.Context, outDir string, stdout io.Writer) error {
 	idx := scpm.NewIndex(res, g)
 	buildMS := msSince(buildStart)
 
-	var snap bytes.Buffer
-	if err := idx.Save(&snap); err != nil {
+	tmp, err := os.MkdirTemp("", "scpm-bench-serve")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	snapPath := filepath.Join(tmp, "quickstart.scpmidx")
+	if err := scpm.WriteSnapshot(snapPath, g, idx); err != nil {
+		return err
+	}
+	st, err := os.Stat(snapPath)
+	if err != nil {
 		return err
 	}
 	loadStart := time.Now()
-	if _, err := scpm.LoadIndex(bytes.NewReader(snap.Bytes())); err != nil {
+	boot, err := scpm.OpenSnapshot(snapPath, scpm.SnapshotOptions{Mode: scpm.SnapshotMmap})
+	if err != nil {
 		return err
 	}
 	loadMS := msSince(loadStart)
+	if err := boot.Close(); err != nil {
+		return err
+	}
 
 	handler, err := scpm.NewServerHandler(idx, g, miner.Params(), scpm.ServerConfig{})
 	if err != nil {
@@ -130,7 +145,7 @@ func runServeBench(ctx context.Context, outDir string, stdout io.Writer) error {
 			Patterns:      idx.NumPatterns(),
 			MineMS:        mineMS,
 			IndexBuildMS:  buildMS,
-			SnapshotBytes: snap.Len(),
+			SnapshotBytes: int(st.Size()),
 			SnapshotLoad:  loadMS,
 			Workers:       workers,
 			Endpoints:     endpoints,
@@ -142,7 +157,7 @@ func runServeBench(ctx context.Context, outDir string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "serve index_build=%.2fms snapshot=%dB total=%.0f qps\n",
-		buildMS, snap.Len(), report.Serve.TotalQPS)
+		buildMS, st.Size(), report.Serve.TotalQPS)
 	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }

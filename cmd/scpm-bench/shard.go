@@ -260,7 +260,11 @@ func shardGatewayBench(ctx context.Context, stdout io.Writer) (*shardGatewayRepo
 		scpm.WithSigmaMin(3), scpm.WithGamma(0.6), scpm.WithMinSize(4),
 		scpm.WithEpsMin(0.5), scpm.WithTopK(10),
 	}
-	man, err := shard.BuildManifest(g, 3, n, nil)
+	miner, err := scpm.NewMiner(opts...)
+	if err != nil {
+		return nil, err
+	}
+	man, err := shard.BuildManifestSealed(ctx, g, miner.Params(), n, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@
 // background, swapping the refreshed index in without blocking
 // concurrent reads; GET /version reports the data version versus the
 // served version. With -snapshot each published generation also
-// refreshes the snapshot and writes dataset sidecars so a restart
+// refreshes the snapshot, which embeds the updated graph, so a restart
 // resumes the updated data; -no-updates serves a frozen index.
 //
 // Usage:
@@ -35,7 +35,7 @@
 // so POST /updates keeps working against sharded replicas.
 //
 // With -manifest the shard map comes from the planner's manifest
-// instead, and a v2 manifest's sealed level-1 verdicts are replayed at
+// instead, and the manifest's sealed level-1 verdicts are replayed at
 // boot — the replica skips every level-1 coverage search while mining
 // byte-identical output. The mining flags must match the parameters
 // the manifest was sealed under (scpm-gateway -plan shares their
@@ -43,17 +43,16 @@
 //
 // With -snapshot the index is loaded from the file when it exists;
 // otherwise the dataset is mined and the snapshot written there, so the
-// second boot skips mining entirely. New snapshots use the v3 format,
-// which embeds the graph alongside the index in an mmap-able layout:
-// a v3 boot needs no -attrs/-edges at all and restores both in
-// milliseconds by wrapping typed views over the mapped file.
-// -snapshot-mode picks the strategy — mmap pages the file in lazily on
-// first touch, materialize reads it fully into memory up front, auto
-// (the default) maps when the platform supports it. Both modes serve
-// byte-identical responses. Old v2 (index-only) snapshots still load,
-// paired with the dataset files as before. Boot phase timings are
-// exported as scpm_boot_ms{phase=...} on /metrics, alongside
-// scpm_snapshot_mapped_bytes and (on Linux, mapped boots)
+// second boot skips mining entirely. The snapshot (format v3) embeds
+// the graph alongside the index in an mmap-able layout: a snapshot boot
+// needs no -attrs/-edges at all and restores both in milliseconds by
+// wrapping typed views over the mapped file. A file that is not a v3
+// snapshot fails the boot. -snapshot-mode picks the strategy — mmap
+// pages the file in lazily on first touch, materialize reads it fully
+// into memory up front, auto (the default) maps when the platform
+// supports it. Both modes serve byte-identical responses. Boot phase
+// timings are exported as scpm_boot_ms{phase=...} on /metrics,
+// alongside scpm_snapshot_mapped_bytes and (on Linux, mapped boots)
 // scpm_snapshot_resident_bytes.
 //
 // The process serves until SIGINT/SIGTERM, then shuts down gracefully
@@ -115,7 +114,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxAttrs  = fs.Int("maxattrs", 0, "bound attribute-set size (0 = unbounded)")
 		par       = fs.Int("parallel", runtime.NumCPU(), "mining worker goroutines")
 		shardSpec = fs.String("shard", "", `serve one slice of a sharded deployment, as "k/N" (e.g. 0/2): mine only the lattice partition shard k owns and serve it behind scpm-gateway`)
-		manifest  = fs.String("manifest", "", "shard manifest file (scpm-gateway -plan): drive -shard ownership from the manifest and replay its sealed level-1 verdicts (v2) instead of re-searching them")
+		manifest  = fs.String("manifest", "", "shard manifest file (scpm-gateway -plan): drive -shard ownership from the manifest and replay its sealed level-1 verdicts instead of re-searching them")
 		noUpdates = fs.Bool("no-updates", false, "disable POST /updates (serve a frozen index)")
 		budget    = fs.Int64("budget", 0, "search-node budget per quasi-clique search, for startup mining and each on-demand ε query (0 = unbounded)")
 		epsMode   = fs.String("eps-mode", "exact", "on-demand ε computation: exact or sampled")
@@ -161,19 +160,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		v3 *scpm.SnapshotBoot
 	)
 	if *snapshot != "" {
-		switch v, err := scpm.SniffSnapshot(*snapshot); {
+		t0 := time.Now()
+		switch v3, err = scpm.OpenSnapshot(*snapshot, scpm.SnapshotOptions{Mode: mode}); {
 		case errors.Is(err, os.ErrNotExist):
-			// Fresh boot: mine below and write the first v3 snapshot.
+			// Fresh boot: mine below and write the first snapshot.
 		case err != nil:
-			fmt.Fprintln(stderr, "scpm-serve:", err)
-			return 2
-		case v == 3:
-			t0 := time.Now()
-			v3, err = scpm.OpenSnapshot(*snapshot, scpm.SnapshotOptions{Mode: mode})
-			if err != nil {
-				fmt.Fprintln(stderr, "scpm-serve:", err)
-				return 1
-			}
+			fmt.Fprintf(stderr, "scpm-serve: cannot boot from snapshot %s: %v\n", *snapshot, err)
+			return 1
+		default:
 			// Views over the mapping serve for the whole process
 			// lifetime; unmap only on the way out.
 			defer v3.Close()
@@ -195,22 +189,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			if *attrsPath != "" || *edgesPath != "" || *example != "" {
 				fmt.Fprintln(stdout, "scpm-serve: v3 snapshot embeds its graph; -attrs/-edges/-example ignored")
 			}
-			// v == 2 falls through: the index loads below via the v2
-			// loader, paired with the dataset files.
 		}
 	}
 	if g == nil {
 		t0 := time.Now()
-		var resumed bool
-		g, resumed, err = loadGraph(*attrsPath, *edgesPath, *example, *snapshot)
+		g, err = loadGraph(*attrsPath, *edgesPath, *example)
 		if err != nil {
 			fmt.Fprintln(stderr, "scpm-serve:", err)
 			return 2
 		}
 		bootMS.With("graph_load").Set(float64(time.Since(t0).Milliseconds()))
-		if resumed {
-			fmt.Fprintf(stdout, "scpm-serve: resumed updated dataset from %s.{attrs,edges}\n", *snapshot)
-		}
 	}
 
 	opts := []scpm.Option{
@@ -253,12 +241,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		opts = append(opts, scpm.WithShardManifest(man, k))
-		if man.Level1 != nil {
-			fmt.Fprintf(stdout, "scpm-serve: serving shard %d/%d from manifest %s (%d sealed level-1 verdicts)\n",
-				k, man.Shards, *manifest, len(man.Level1.Verdicts))
-		} else {
-			fmt.Fprintf(stdout, "scpm-serve: serving shard %d/%d from manifest %s\n", k, man.Shards, *manifest)
-		}
+		fmt.Fprintf(stdout, "scpm-serve: serving shard %d/%d from manifest %s (%d sealed level-1 verdicts)\n",
+			k, man.Shards, *manifest, len(man.Level1.Verdicts))
 	case *shardSpec != "":
 		k, n, err := parseShard(*shardSpec)
 		if err != nil {
@@ -336,10 +320,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			if snapshotPath == "" {
 				return
 			}
-			// Write-behind: refresh the snapshot so a restart resumes
-			// the updated data. v3 embeds the graph, so no dataset
-			// sidecars are needed — even when this boot came from a v2
-			// snapshot, the refresh upgrades it to v3 in place.
+			// Write-behind: refresh the snapshot, graph included, so
+			// a restart resumes the updated data.
 			if err := scpm.WriteSnapshot(snapshotPath, e.Graph, e.Index); err != nil {
 				fmt.Fprintln(stderr, "scpm-serve: snapshot write-behind:", err)
 				return
@@ -392,40 +374,20 @@ func parseShard(spec string) (k, n int, err error) {
 }
 
 // loadGraph resolves the dataset selection: two files, or a built-in
-// example. When a snapshot with live-update dataset sidecars exists
-// (written by the update path's write-behind), the sidecars win — they
-// are the updated data the snapshot was mined from; the second return
-// reports that resumption.
-func loadGraph(attrsPath, edgesPath, example, snapshot string) (*scpm.Graph, bool, error) {
+// example.
+func loadGraph(attrsPath, edgesPath, example string) (*scpm.Graph, error) {
 	if example != "" && (attrsPath != "" || edgesPath != "") {
-		return nil, false, errors.New("-example cannot be combined with -attrs/-edges")
+		return nil, errors.New("-example cannot be combined with -attrs/-edges")
 	}
 	if example != "" && example != "paper" {
-		return nil, false, fmt.Errorf("unknown -example %q (want paper)", example)
+		return nil, fmt.Errorf("unknown -example %q (want paper)", example)
 	}
 	if example == "" && (attrsPath == "" || edgesPath == "") {
-		return nil, false, errors.New("-attrs and -edges are required (or use -example paper)")
-	}
-	if snapshot != "" {
-		if _, err := os.Stat(snapshot); err == nil {
-			g, err := readDatasetFiles(snapshot+".attrs", snapshot+".edges")
-			if err == nil {
-				return g, true, nil
-			}
-			if !errors.Is(err, os.ErrNotExist) {
-				return nil, false, fmt.Errorf("resuming updated dataset: %w", err)
-			}
-		}
+		return nil, errors.New("-attrs and -edges are required (or use -example paper)")
 	}
 	if example != "" {
-		return scpm.PaperExample(), false, nil
+		return scpm.PaperExample(), nil
 	}
-	g, err := readDatasetFiles(attrsPath, edgesPath)
-	return g, false, err
-}
-
-// readDatasetFiles opens and parses one attribute/edge file pair.
-func readDatasetFiles(attrsPath, edgesPath string) (*scpm.Graph, error) {
 	af, err := os.Open(attrsPath)
 	if err != nil {
 		return nil, err
@@ -439,18 +401,15 @@ func readDatasetFiles(attrsPath, edgesPath string) (*scpm.Graph, error) {
 	return scpm.ReadDataset(af, ef)
 }
 
-// buildIndex restores the snapshot when it exists, otherwise mines the
-// graph and (when a snapshot path is configured) persists the result
-// as a v3 snapshot for the next boot. It also returns the mining
+// buildIndex takes the index of a restored snapshot, otherwise mines
+// the graph and (when a snapshot path is configured) persists the
+// result as a v3 snapshot for the next boot. It also returns the mining
 // result backing the index — reconstructed from the snapshot tables
 // when one was restored — which is what the live-update path re-mines
 // from. A boot mine streams its progress into mm, so /metrics shows it
 // advancing; phase wall times land on bootMS.
 func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.SnapshotBoot, snapshot string, stdout io.Writer, mm *obs.MiningMetrics, bootMS *obs.GaugeVec) (*scpm.Index, *scpm.Result, error) {
 	if v3 != nil {
-		// The graph and index both came out of the same v3 file, so the
-		// dataset-shape cross-check of the v2 path is true by
-		// construction.
 		idx := v3.Index
 		mapped := "materialized"
 		if v3.OSMapped() {
@@ -464,33 +423,6 @@ func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.
 		// chain incrementally.
 		res := &scpm.Result{Sets: idx.Sets(), Patterns: idx.Patterns(), Stats: idx.MiningStats()}
 		return idx, res, nil
-	}
-	if snapshot != "" {
-		if f, err := os.Open(snapshot); err == nil {
-			defer f.Close()
-			idx, err := scpm.LoadIndex(f)
-			if err != nil {
-				return nil, nil, fmt.Errorf("loading snapshot %s: %w", snapshot, err)
-			}
-			// A snapshot from a different dataset would serve indexed
-			// answers about one graph while computing on-demand answers
-			// against another; refuse the pairing outright.
-			sv, se, sa := idx.DatasetShape()
-			if sv != g.NumVertices() || se != g.NumEdges() || sa != g.NumAttributes() {
-				return nil, nil, fmt.Errorf(
-					"snapshot %s was mined from a different dataset (|V|=%d |E|=%d |A|=%d, loaded graph has |V|=%d |E|=%d |A|=%d); delete it to re-mine",
-					snapshot, sv, se, sa, g.NumVertices(), g.NumEdges(), g.NumAttributes())
-			}
-			fmt.Fprintf(stdout, "scpm-serve: restored index from %s\n", snapshot)
-			fmt.Fprintln(stdout, "scpm-serve: indexed results reflect the snapshot's mining run; current mining flags apply to on-demand /epsilon only")
-			// A snapshot carries no search lattice, so the first update
-			// triggers a full (rather than incremental) remine; later
-			// ones chain incrementally.
-			res := &scpm.Result{Sets: idx.Sets(), Patterns: idx.Patterns(), Stats: idx.MiningStats()}
-			return idx, res, nil
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, nil, err
-		}
 	}
 	start := time.Now()
 	mm.Active.Set(1)

@@ -96,9 +96,10 @@
 // # Serving mined results
 //
 // A Result can be frozen into an Index — stable-id lookups, an
-// attribute-set trie (exact/subset/superset), inverted postings,
-// top-k rankings and versioned binary snapshots — and served over HTTP
-// with on-demand ε answers for attribute sets the run never emitted:
+// attribute-set trie (exact/subset/superset) and inverted postings —
+// persisted together with its graph as an mmap-able snapshot
+// (WriteSnapshot, OpenSnapshot), and served over HTTP with on-demand ε
+// answers for attribute sets the run never emitted:
 //
 //	idx := scpm.NewIndex(res, g)
 //	h, _ := scpm.NewServerHandler(idx, g, miner.Params(), scpm.ServerConfig{})

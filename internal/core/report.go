@@ -32,31 +32,45 @@ func (r Ranking) String() string {
 	}
 }
 
-// TopSets returns the n best attribute sets under the given ranking,
-// breaking ties by the other metrics and finally canonically. Infinite
-// δ values rank first under ByDelta (they arise when εexp underflows).
+// Compare orders two attribute sets under the ranking: negative when a
+// ranks before b, positive when after, zero on a tie. Sets rank by the
+// ranking's metric descending, then by support descending; infinite δ
+// values rank first under ByDelta (they arise when εexp underflows).
+// Callers break the remaining ties themselves.
+func (r Ranking) Compare(a, b *AttributeSet) int {
+	switch r {
+	case ByEpsilon:
+		if a.Epsilon != b.Epsilon {
+			return before(a.Epsilon > b.Epsilon)
+		}
+	case ByDelta:
+		if a.Delta != b.Delta {
+			return before(greaterWithInf(a.Delta, b.Delta))
+		}
+	}
+	if a.Support != b.Support {
+		return before(a.Support > b.Support)
+	}
+	return 0
+}
+
+// before maps "ranks first" to a Compare result for two unequal keys.
+func before(first bool) int {
+	if first {
+		return -1
+	}
+	return 1
+}
+
+// TopSets returns the n best attribute sets under the given ranking
+// (see Ranking.Compare), breaking the remaining ties canonically.
 func TopSets(sets []AttributeSet, r Ranking, n int) []AttributeSet {
 	out := append([]AttributeSet(nil), sets...)
 	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		switch r {
-		case BySupport:
-			if a.Support != b.Support {
-				return a.Support > b.Support
-			}
-		case ByEpsilon:
-			if a.Epsilon != b.Epsilon {
-				return a.Epsilon > b.Epsilon
-			}
-		case ByDelta:
-			if a.Delta != b.Delta {
-				return greaterWithInf(a.Delta, b.Delta)
-			}
+		if c := r.Compare(&out[i], &out[j]); c != 0 {
+			return c < 0
 		}
-		if a.Support != b.Support {
-			return a.Support > b.Support
-		}
-		return lessAttrs(a.Attrs, b.Attrs)
+		return lessAttrs(out[i].Attrs, out[j].Attrs)
 	})
 	if len(out) > n {
 		out = out[:n]

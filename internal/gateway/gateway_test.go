@@ -112,7 +112,7 @@ func bootCluster(t *testing.T, seed int64, n int) (gw, single *httptest.Server, 
 	t.Helper()
 	p := testParams()
 	g := testGraph(t, seed)
-	man, err := shard.BuildManifest(g, p.SigmaMin, n, nil)
+	man, err := shard.BuildManifestSealed(context.Background(), g, p, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestGatewayRetriesTransientFailure(t *testing.T) {
 	p := testParams()
 	g := testGraph(t, 53)
 	const n = 2
-	man, err := shard.BuildManifest(g, p.SigmaMin, n, nil)
+	man, err := shard.BuildManifestSealed(context.Background(), g, p, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,10 @@
 // as a top-k ranking.
 //
 // The Index is self-contained: every name it serves (attribute names,
-// vertex labels) is resolved at build time, so a loaded snapshot can
-// answer every lookup without the originating graph. Derived structures
-// (trie, postings, id maps) are rebuilt deterministically from the
-// canonical set/pattern tables, which keeps the snapshot format small
-// and the Save→Load→Save cycle bit-identical.
+// vertex labels) is resolved at build time, so it answers every lookup
+// without the originating graph. Derived structures (trie, postings, id
+// maps) are rebuilt deterministically from the canonical set/pattern
+// tables.
 package index
 
 import (
@@ -23,8 +22,8 @@ import (
 )
 
 // Index is an immutable, concurrently-queryable view of one mining
-// run's output. Build one with Build or Load; all methods are safe for
-// concurrent use.
+// run's output. Build one with Build, or assemble one from snapshot
+// tables with FromParts; all methods are safe for concurrent use.
 type Index struct {
 	// Canonical tables, in Result order (sets by size then
 	// lexicographic attribute ids; patterns grouped per set). When
@@ -45,19 +44,19 @@ type Index struct {
 	// mining carries the run counters of the producing Result.
 	mining core.Stats
 	// dsVertices/dsEdges/dsAttributes record the shape of the graph the
-	// result was mined from, so a restored snapshot can be checked
-	// against the dataset it is served with.
+	// result was mined from, so a snapshot writer can check the index
+	// against the graph it is paired with.
 	dsVertices   int
 	dsEdges      int
 	dsAttributes int
 
-	// Derived structures, rebuilt deterministically on Build and Load.
+	// Derived structures, rebuilt deterministically on Build.
 	setIDs    []string // setIDs[i] = sets[i].ID()
 	patIDs    []string // patIDs[i] = patterns[i].ID()
 	patSetIDs []string // patSetIDs[i] = patterns[i].SetID()
 
 	// Pointer-shaped lookup structures, built from the canonical tables
-	// by buildDerived. Build and Load pay for them up front; a lazily
+	// by buildDerived. Build pays for them up front; a lazily
 	// assembled index (FromParts without EagerDerived, the mmap boot
 	// path) defers them to the first query that needs one, so opening a
 	// snapshot stays O(sections) instead of O(sets). Access only through
@@ -96,9 +95,9 @@ func Build(res *core.Result, g *graph.Graph) *Index {
 }
 
 // freeze rebuilds every derived structure from the canonical tables.
-// It runs after Build copies a Result, after Load decodes a snapshot
-// and after Rebuild matches donor content; all paths converge here, so
-// every index answers queries identically however it was constructed.
+// It runs after Build copies a Result and after Rebuild matches donor
+// content; both paths converge here, so every index answers queries
+// identically however it was constructed.
 // Pre-filled (non-empty) id entries are kept — that is how Rebuild
 // carries interned ids over — and only missing ones are hashed.
 // freeze may only run on a freshly constructed Index (its derivedOnce
@@ -153,7 +152,7 @@ func (x *Index) freeze() {
 }
 
 // derived builds the pointer-shaped lookup structures (id maps, trie,
-// per-set pattern lists) exactly once. Build and Load call it eagerly;
+// per-set pattern lists) exactly once. Build calls it eagerly;
 // a lazily assembled index pays on the first lookup that needs one.
 // Safe for concurrent use — callers may race on a cold index and block
 // behind one build.
@@ -211,8 +210,8 @@ func (x *Index) MiningStats() core.Stats { return x.mining }
 
 // DatasetShape returns the |V|, |E|, |A| of the graph the indexed
 // result was mined from — recorded at build time and carried through
-// snapshots, so a server can refuse to pair a restored index with the
-// wrong dataset.
+// snapshots, so a snapshot writer can refuse to pair the index with
+// the wrong graph.
 func (x *Index) DatasetShape() (vertices, edges, attributes int) {
 	return x.dsVertices, x.dsEdges, x.dsAttributes
 }
@@ -398,13 +397,6 @@ func (x *Index) PatternsWithVertex(label string) []int {
 // HasVertex reports whether the labeled vertex occurs in any indexed
 // pattern.
 func (x *Index) HasVertex(label string) bool { return x.vertPost[label] != nil }
-
-// TopSets returns the n best indexed sets under the given ranking
-// (σ, ε or δ), like the paper's case-study tables.
-func (x *Index) TopSets(r core.Ranking, n int) []core.AttributeSet {
-	x.tables()
-	return core.TopSets(x.sets, r, n)
-}
 
 // Stats summarizes the index shape.
 type Stats struct {

@@ -187,14 +187,14 @@ func TestVertexPostings(t *testing.T) {
 
 func TestTopSetsRanking(t *testing.T) {
 	_, res, x := buildExample(t)
-	top := x.TopSets(core.BySupport, 2)
+	top := core.TopSets(x.Sets(), core.BySupport, 2)
 	if len(top) != 2 {
 		t.Fatalf("top-2 returned %d", len(top))
 	}
 	if top[0].Support < top[1].Support {
 		t.Fatal("not ranked by support")
 	}
-	if got := x.TopSets(core.ByEpsilon, 100); len(got) != len(res.Sets) {
+	if got := core.TopSets(x.Sets(), core.ByEpsilon, 100); len(got) != len(res.Sets) {
 		t.Fatal("overlong top-k must return all sets")
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -116,6 +117,44 @@ func TestMetricsRemineLifecycle(t *testing.T) {
 	}
 	if v := metricValue(t, body, "scpm_generation_served"); v != 2 {
 		t.Fatalf("served generation = %v, want 2", v)
+	}
+}
+
+// TestStatsReadsMetrics drives a mix of cache misses, cache hits,
+// indexed answers and updates, then requires every /stats count that
+// has a /metrics series to equal that series.
+func TestStatsReadsMetrics(t *testing.T) {
+	s, _, swaps := newLiveServer(t)
+	for _, path := range []string{"/epsilon?attrs=C", "/epsilon?attrs=C", "/epsilon?attrs=A,B", "/epsilon?attrs=B,C", "/epsilon?attrs=C"} {
+		get(t, s, path, http.StatusOK, nil)
+	}
+	for i := 0; i < 2; i++ {
+		postUpdates(t, s, fmt.Sprintf(`{"op":"add_vertex","vertex":"v9%d","attrs":["A"]}`, i)+"\n", http.StatusAccepted)
+		waitSwap(t, swaps)
+	}
+	get(t, s, "/epsilon?attrs=C", http.StatusOK, nil)
+
+	var body struct {
+		Server Stats `json:"server"`
+	}
+	get(t, s, "/stats", http.StatusOK, &body)
+	st := body.Server
+	exposition := scrape(t, s)
+	for _, c := range []struct {
+		series string
+		stat   int64
+	}{
+		{"scpm_epsilon_cache_hits_total", st.CacheHits},
+		{"scpm_epsilon_cache_misses_total", st.CacheMisses},
+		{"scpm_updates_accepted_total", st.UpdatesAccepted},
+		{`scpm_remines_total{outcome="ok"}`, st.Remines},
+	} {
+		if v := metricValue(t, exposition, c.series); v != float64(c.stat) {
+			t.Errorf("%s = %v, /stats says %d", c.series, v, c.stat)
+		}
+	}
+	if st.CacheHits == 0 || st.CacheMisses == 0 || st.UpdatesAccepted != 2 || st.Remines != 2 {
+		t.Fatalf("mix did not reach every counter: %+v", st)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -85,7 +84,9 @@ type Config struct {
 	// GET /metrics serves from. Nil means a private registry, so the
 	// endpoints work (and the request path pays the same instrumentation
 	// cost) without any wiring. Share one registry across layers — e.g.
-	// with boot-time mining — to scrape them together.
+	// with boot-time mining — to scrape them together, but never across
+	// two servers: each server owns its registry's generation gauges,
+	// and Stats reads its cache, update and remine counts from it.
 	Metrics *obs.Registry
 }
 
@@ -124,12 +125,8 @@ type Server struct {
 	requests        atomic.Int64
 	epsilonQueries  atomic.Int64
 	epsilonIndexed  atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
 	searchNodes     atomic.Int64
 	sampledVertices atomic.Int64
-	updatesAccepted atomic.Int64
-	remines         atomic.Int64
 	lastRemineErr   atomic.Pointer[string]
 }
 
@@ -349,15 +346,15 @@ func (s *Server) Stats() Stats {
 		Requests:        s.requests.Load(),
 		EpsilonQueries:  s.epsilonQueries.Load(),
 		EpsilonIndexed:  s.epsilonIndexed.Load(),
-		CacheHits:       s.cacheHits.Load(),
-		CacheMisses:     s.cacheMisses.Load(),
+		CacheHits:       s.metrics.cacheHits.Value(),
+		CacheMisses:     s.metrics.cacheMisses.Value(),
 		CacheEntries:    s.cache.len(),
 		SearchNodes:     s.searchNodes.Load(),
 		SampledVertices: s.sampledVertices.Load(),
 		OnDemand:        gen.g != nil && s.est != nil,
 		LiveUpdates:     s.params != nil,
-		UpdatesAccepted: s.updatesAccepted.Load(),
-		Remines:         s.remines.Load(),
+		UpdatesAccepted: s.metrics.updatesAccepted.Value(),
+		Remines:         s.metrics.remines.With("ok").Value(),
 	}
 }
 
@@ -747,11 +744,9 @@ func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 	}
 	s.epsilonQueries.Add(1)
 	if cached {
-		s.cacheHits.Add(1)
 		s.metrics.cacheHits.Inc()
 		ans.Source = "cache"
 	} else {
-		s.cacheMisses.Add(1)
 		s.metrics.cacheMisses.Inc()
 		ans.Source = "computed"
 	}
@@ -809,33 +804,13 @@ func parseRanking(s string) (core.Ranking, bool) {
 	return 0, false
 }
 
-// sortByRanking orders set indices by the ranking with the TopSets
-// tie-breaks (support, then canonical attribute order).
+// sortByRanking orders set indices by the ranking with core.TopSets'
+// order: index positions follow the canonical attribute order, so the
+// position tie-break agrees with TopSets' final tie-break.
 func sortByRanking(sets []core.AttributeSet, idxs []int, r core.Ranking) {
 	sort.SliceStable(idxs, func(a, b int) bool {
-		x, y := sets[idxs[a]], sets[idxs[b]]
-		switch r {
-		case core.BySupport:
-			if x.Support != y.Support {
-				return x.Support > y.Support
-			}
-		case core.ByEpsilon:
-			if x.Epsilon != y.Epsilon {
-				return x.Epsilon > y.Epsilon
-			}
-		case core.ByDelta:
-			if x.Delta != y.Delta {
-				if math.IsInf(x.Delta, 1) {
-					return true
-				}
-				if math.IsInf(y.Delta, 1) {
-					return false
-				}
-				return x.Delta > y.Delta
-			}
-		}
-		if x.Support != y.Support {
-			return x.Support > y.Support
+		if c := r.Compare(&sets[idxs[a]], &sets[idxs[b]]); c != 0 {
+			return c < 0
 		}
 		return idxs[a] < idxs[b]
 	})

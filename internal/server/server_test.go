@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,6 +165,57 @@ func TestSetsListingFiltersAndRanking(t *testing.T) {
 	get(t, s, "/sets?attrs=A&contains=B", http.StatusBadRequest, nil)
 	get(t, s, "/sets?rank=bogus", http.StatusBadRequest, nil)
 	get(t, s, "/sets?k=-1", http.StatusBadRequest, nil)
+}
+
+// TestRankingMatchesTopSets pins that GET /sets?rank=… orders sets
+// exactly like core.TopSets even when every ranking metric ties: the
+// handler breaks final ties by index position, TopSets by canonical
+// attribute order, and index positions are in canonical order.
+func TestRankingMatchesTopSets(t *testing.T) {
+	// Every subset of {0…4} with 1–3 attributes, in canonical order
+	// (size, then lexicographic), with metrics that tie in all columns.
+	var sets []core.AttributeSet
+	for size := 1; size <= 3; size++ {
+		for mask := 0; mask < 1<<5; mask++ {
+			var attrs []int32
+			for a := int32(0); a < 5; a++ {
+				if mask&(1<<a) != 0 {
+					attrs = append(attrs, a)
+				}
+			}
+			if len(attrs) != size {
+				continue
+			}
+			i := len(sets)
+			delta := 2.0
+			if i%4 == 0 {
+				delta = math.Inf(1)
+			}
+			sets = append(sets, core.AttributeSet{
+				Attrs: attrs, Support: 3 + i%2, Epsilon: []float64{0.5, 0.25}[i%3/2], Delta: delta,
+			})
+		}
+	}
+	sort.Slice(sets, func(i, j int) bool {
+		a, b := sets[i].Attrs, sets[j].Attrs
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		return slices.Compare(a, b) < 0
+	})
+	for _, r := range []core.Ranking{core.BySupport, core.ByEpsilon, core.ByDelta} {
+		idxs := make([]int, len(sets))
+		for i := range idxs {
+			idxs[i] = i
+		}
+		sortByRanking(sets, idxs, r)
+		top := core.TopSets(sets, r, len(sets))
+		for i, j := range idxs {
+			if !slices.Equal(sets[j].Attrs, top[i].Attrs) {
+				t.Fatalf("ranking %v position %d: handler has %v, TopSets has %v", r, i, sets[j].Attrs, top[i].Attrs)
+			}
+		}
+	}
 }
 
 func TestSetByIDAndPatterns(t *testing.T) {

@@ -159,7 +159,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	dataVersion := ng.Version()
 	s.updateMu.Unlock()
 
-	s.updatesAccepted.Add(1)
 	s.metrics.updatesAccepted.Inc()
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"accepted":         len(ops),
@@ -248,7 +247,6 @@ func (s *Server) remineOnce(g *graph.Graph, cs *graph.ChangeSet) error {
 	}
 	s.gen.Store(ngen)
 	s.cache.invalidate(cs.DirtyAttrs, ngen.version)
-	s.remines.Add(1)
 	s.metrics.remines.With("ok").Inc()
 	s.metrics.remineDuration.Observe(time.Since(start).Seconds())
 	s.logf("remine published",
@@ -280,7 +278,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 		"served_version":  gen.version,
 		"data_version":    gen.version,
 		"updates_enabled": s.params != nil,
-		"remines":         s.remines.Load(),
+		"remines":         s.metrics.remines.With("ok").Value(),
 	}
 	if s.params != nil {
 		s.updateMu.Lock()

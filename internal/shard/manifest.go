@@ -15,17 +15,15 @@ import (
 	"github.com/scpm/scpm/internal/graph"
 )
 
-// Manifest formats; see docs/FILE_FORMATS.md for the full spec.
-// v1 carries the plan only (loaders re-evaluate level 1 themselves);
-// v2 additionally seals every level-1 verdict so shard workers skip
-// those coverage searches. Both load; BuildManifestSealed writes v2.
-const (
-	ManifestFormatV1 = "scpm-manifest/v1"
-	ManifestFormatV2 = "scpm-manifest/v2"
+// ManifestFormatV2 is the manifest format marker: the shard plan plus
+// every sealed level-1 verdict, so shard workers skip those coverage
+// searches. See docs/FILE_FORMATS.md for the full spec.
+const ManifestFormatV2 = "scpm-manifest/v2"
 
-	// ManifestFormat is the legacy name of the v1 format marker.
-	ManifestFormat = ManifestFormatV1
-)
+// maxShards bounds a manifest's shard count. After every live update a
+// replica re-derives an n-way plan in O(n) memory and O(roots·n) time,
+// so a hand-edited count must not be able to exhaust either.
+const maxShards = 1 << 12
 
 // RootAssignment records one frequent root attribute's place in the
 // plan: its name, id and support in the planned graph, its rank in
@@ -43,7 +41,7 @@ type RootAssignment struct {
 // snapshot lives. scpm-serve -shard boots its slice from it and
 // scpm-gateway routes single-owner queries with it.
 type Manifest struct {
-	// Format is always ManifestFormat.
+	// Format is always ManifestFormatV2.
 	Format string `json:"format"`
 	// Shards is the number of partitions N.
 	Shards int `json:"shards"`
@@ -62,16 +60,15 @@ type Manifest struct {
 	// Snapshots holds one per-shard snapshot path, indexed by shard;
 	// empty strings mean "mine at boot".
 	Snapshots []string `json:"snapshots,omitempty"`
-	// Level1 carries the sealed level-1 verdicts of a v2 manifest —
-	// nil exactly when Format is v1. Verdicts align with Roots by index
-	// (rank order).
+	// Level1 carries the sealed level-1 verdicts. Verdicts align with
+	// Roots by index (rank order).
 	Level1 *SealedLevel1 `json:"level1,omitempty"`
 	// Checksum is the FNV-1a/64 hex digest of the manifest JSON with
 	// this field empty; Load refuses a manifest whose digest mismatches.
 	Checksum string `json:"checksum"`
 }
 
-// SealedLevel1 is the v2 manifest's verdict payload: every frequent
+// SealedLevel1 is the manifest's verdict payload: every frequent
 // single's complete level-1 evaluation, pinned to the parameter
 // fingerprint it was computed under. Shard workers loading it skip all
 // level-1 coverage searches while producing bit-identical output.
@@ -117,9 +114,10 @@ type SealedPattern struct {
 	Edges    int     `json:"edges"`
 }
 
-// BuildManifest plans g into n shards and renders the plan as a sealed
-// manifest. snapshots, when non-nil, must carry one path per shard.
-func BuildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manifest, error) {
+// buildManifest plans g into n shards and renders the plan as a
+// manifest still missing its level-1 seal (sealLevel1 installs it).
+// snapshots, when non-nil, must carry one path per shard.
+func buildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manifest, error) {
 	if snapshots != nil && len(snapshots) != n {
 		return nil, fmt.Errorf("shard: %d snapshot paths for %d shards", len(snapshots), n)
 	}
@@ -134,7 +132,7 @@ func BuildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manife
 		}
 	}
 	m := &Manifest{
-		Format:       ManifestFormat,
+		Format:       ManifestFormatV2,
 		Shards:       n,
 		SigmaMin:     sigmaMin,
 		Vertices:     g.NumVertices(),
@@ -152,7 +150,6 @@ func BuildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manife
 			Shard:   shardOf[r.attr],
 		})
 	}
-	m.Seal()
 	return m, nil
 }
 
@@ -162,30 +159,26 @@ func (m *Manifest) Seal() {
 	m.Checksum = m.digest()
 }
 
-// Verify checks the format marker, the checksum and — for v2 — the
-// shape of the sealed level-1 payload. Both v1 (plan only) and v2
-// (plan + sealed verdicts) manifests pass.
+// Verify checks the format marker, the checksum, the plan's invariants
+// and the shape of the sealed level-1 payload.
 func (m *Manifest) Verify() error {
-	switch m.Format {
-	case ManifestFormatV1:
-		if m.Level1 != nil {
-			return fmt.Errorf("shard: %s manifest carries a level-1 seal (v2 payload under a v1 marker)", m.Format)
-		}
-	case ManifestFormatV2:
-		if m.Level1 == nil {
-			return fmt.Errorf("shard: %s manifest has no level-1 seal", m.Format)
-		}
-		if m.Level1.ParamsKey == "" {
-			return fmt.Errorf("shard: %s manifest seals verdicts without a parameter fingerprint", m.Format)
-		}
-		if len(m.Level1.Verdicts) != len(m.Roots) {
-			return fmt.Errorf("shard: manifest seals %d verdicts for %d roots", len(m.Level1.Verdicts), len(m.Roots))
-		}
-	default:
-		return fmt.Errorf("shard: manifest format %q, want %q or %q", m.Format, ManifestFormatV1, ManifestFormatV2)
+	if m.Format != ManifestFormatV2 {
+		return fmt.Errorf("shard: manifest format %q, want %q", m.Format, ManifestFormatV2)
 	}
-	if m.Shards < 1 {
-		return fmt.Errorf("shard: manifest declares %d shards", m.Shards)
+	if m.Level1 == nil {
+		return fmt.Errorf("shard: %s manifest has no level-1 seal", m.Format)
+	}
+	if m.Level1.ParamsKey == "" {
+		return fmt.Errorf("shard: %s manifest seals verdicts without a parameter fingerprint", m.Format)
+	}
+	if len(m.Level1.Verdicts) != len(m.Roots) {
+		return fmt.Errorf("shard: manifest seals %d verdicts for %d roots", len(m.Level1.Verdicts), len(m.Roots))
+	}
+	if m.Shards < 1 || m.Shards > maxShards {
+		return fmt.Errorf("shard: manifest declares %d shards (want 1…%d)", m.Shards, maxShards)
+	}
+	if m.SigmaMin < 1 {
+		return fmt.Errorf("shard: manifest sigma_min %d, want ≥ 1", m.SigmaMin)
 	}
 	if m.Snapshots != nil && len(m.Snapshots) != m.Shards {
 		return fmt.Errorf("shard: manifest lists %d snapshots for %d shards", len(m.Snapshots), m.Shards)
@@ -202,6 +195,9 @@ func (m *Manifest) Verify() error {
 		}
 		if r.Shard < 0 || r.Shard >= m.Shards {
 			return fmt.Errorf("shard: manifest root %q assigned to shard %d of %d", r.Attr, r.Shard, m.Shards)
+		}
+		if r.ID < 0 || int(r.ID) >= m.Attributes {
+			return fmt.Errorf("shard: manifest root %q has id %d of %d attributes", r.Attr, r.ID, m.Attributes)
 		}
 	}
 	return nil
@@ -243,12 +239,21 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := decodeManifest(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w (in %s)", err, path)
+	}
+	return m, nil
+}
+
+// decodeManifest parses and verifies the bytes of a manifest file.
+func decodeManifest(b []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("shard: parsing manifest %s: %w", path, err)
+		return nil, fmt.Errorf("shard: parsing manifest: %w", err)
 	}
 	if err := m.Verify(); err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
+		return nil, err
 	}
 	return &m, nil
 }
@@ -301,12 +306,12 @@ func (m *Manifest) Route(attrs []string) int {
 }
 
 // BuildManifestSealed plans g into n shards and seals every level-1
-// verdict into a v2 manifest: one ComputeLevel1 pass, paid once at plan
+// verdict into the manifest: one ComputeLevel1 pass, paid once at plan
 // time, that every shard worker loading the manifest skips thereafter.
 // p is the full mining parameter block the shard workers will run
 // under; its SigmaMin drives the plan.
 func BuildManifestSealed(ctx context.Context, g *graph.Graph, p core.Params, n int, snapshots []string) (*Manifest, error) {
-	m, err := BuildManifest(g, p.SigmaMin, n, snapshots)
+	m, err := buildManifest(g, p.SigmaMin, n, snapshots)
 	if err != nil {
 		return nil, err
 	}
@@ -314,16 +319,16 @@ func BuildManifestSealed(ctx context.Context, g *graph.Graph, p core.Params, n i
 	if err != nil {
 		return nil, err
 	}
-	if err := m.SealLevel1(verdicts); err != nil {
+	if err := m.sealLevel1(verdicts); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// SealLevel1 installs a verdict set into the manifest, upgrading it to
-// v2 and re-sealing the checksum. The verdicts must cover every root
-// and match the manifest's graph version.
-func (m *Manifest) SealLevel1(v *core.Level1Verdicts) error {
+// sealLevel1 installs a verdict set into the manifest and re-seals the
+// checksum. The verdicts must cover every root and match the
+// manifest's graph version.
+func (m *Manifest) sealLevel1(v *core.Level1Verdicts) error {
 	if v.GraphVersion() != m.GraphVersion {
 		return fmt.Errorf("shard: verdicts at graph version %d, manifest at %d", v.GraphVersion(), m.GraphVersion)
 	}
@@ -360,14 +365,13 @@ func (m *Manifest) SealLevel1(v *core.Level1Verdicts) error {
 		sealed.Verdicts[i] = sv
 	}
 	m.Level1 = sealed
-	m.Format = ManifestFormatV2
 	m.Seal()
 	return nil
 }
 
 // Level1Verdicts reconstructs the sealed verdicts for injection into
 // core.Params.Level1Verdicts. It returns (nil, nil) when the manifest
-// carries no seal (v1) or when g has moved past the sealed graph
+// carries no seal or when g has moved past the sealed graph
 // version — live updates silently fall back to evaluating level 1,
 // matching core's own version guard. Bitsets are rebuilt at g's vertex
 // capacity; pattern attribute identity is the root itself.

@@ -3,18 +3,20 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/scpm/scpm/internal/core"
+	"github.com/scpm/scpm/internal/graph"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
 	g := testGraph(t, 1234)
 	snaps := []string{"s0.scpmidx", "s1.scpmidx", "s2.scpmidx"}
-	m, err := BuildManifest(g, 20, 3, snaps)
+	m, err := BuildManifestSealed(context.Background(), g, testParams()["exact"], 3, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestManifestChecksumTamper(t *testing.T) {
 	g := testGraph(t, 1235)
-	m, err := BuildManifest(g, 20, 2, nil)
+	m, err := BuildManifestSealed(context.Background(), g, testParams()["exact"], 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestManifestRouting(t *testing.T) {
 	g := testGraph(t, 1236)
 	p := testParams()["exact"]
 	const n = 3
-	m, err := BuildManifest(g, p.SigmaMin, n, nil)
+	m, err := buildManifest(g, p.SigmaMin, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,59 +200,29 @@ func TestManifestSealedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat pins the legacy path: a v1 manifest still
-// loads, reconstructs no verdicts, and its Owner routes a sharded mine
-// that re-evaluates level 1 to the identical single-process answer.
-func TestManifestV1Compat(t *testing.T) {
-	ctx := context.Background()
+// TestManifestV1Rejected pins the retirement of the plan-only format:
+// a manifest marked scpm-manifest/v1, even with a valid checksum, fails
+// to load.
+func TestManifestV1Rejected(t *testing.T) {
 	g := testGraph(t, 2402)
-	p := testParams()["exact"]
-	const n = 2
-	m, err := BuildManifest(g, p.SigmaMin, n, nil)
+	m, err := buildManifest(g, testParams()["exact"].SigmaMin, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Format != ManifestFormatV1 {
-		t.Fatalf("BuildManifest format %q, want %q", m.Format, ManifestFormatV1)
-	}
+	m.Format = "scpm-manifest/v1"
 	path := filepath.Join(t.TempDir(), "v1.json")
 	if err := WriteManifest(m, path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := loaded.Level1Verdicts(g); err != nil || v != nil {
-		t.Fatalf("v1 manifest reconstructed verdicts %v (err=%v), want none", v, err)
-	}
-	want, err := core.Mine(ctx, g, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]*core.Result, n)
-	for k := 0; k < n; k++ {
-		pk := p
-		pk.ShardOwner = loaded.Owner(k)
-		if parts[k], err = core.Mine(ctx, g, pk, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := Merge(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "v1", merged, want)
-	requireEqualStats(t, "v1", merged.Stats, want.Stats)
-	if merged.Stats.ReusedVerdicts != 0 {
-		t.Fatalf("v1 path claims %d replayed verdicts", merged.Stats.ReusedVerdicts)
+	if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), "scpm-manifest/v1") {
+		t.Fatalf("LoadManifest accepted a v1 manifest (err=%v)", err)
 	}
 }
 
-// TestManifestCorruptedSealRejected covers the v2 integrity guards: a
-// bit flipped inside the sealed payload fails the checksum, and the
-// structural invariants (marker vs payload, verdict count) are each
-// enforced.
+// TestManifestCorruptedSealRejected covers the manifest integrity
+// guards: a bit flipped inside the sealed payload fails the checksum,
+// and the structural invariants (payload present, verdict count, plan
+// bounds) are each enforced even under a recomputed checksum.
 func TestManifestCorruptedSealRejected(t *testing.T) {
 	ctx := context.Background()
 	g := testGraph(t, 2403)
@@ -283,9 +255,14 @@ func TestManifestCorruptedSealRejected(t *testing.T) {
 		mutate func(*Manifest)
 	}{
 		{"v2 without payload", func(c *Manifest) { c.Level1 = nil }},
-		{"v1 with payload", func(c *Manifest) { c.Format = ManifestFormatV1 }},
 		{"verdict count mismatch", func(c *Manifest) {
 			c.Level1 = &SealedLevel1{ParamsKey: m.Level1.ParamsKey, Verdicts: m.Level1.Verdicts[:len(m.Level1.Verdicts)-1]}
+		}},
+		{"sigma_min 0", func(c *Manifest) { c.SigmaMin = 0 }},
+		{"too many shards", func(c *Manifest) { c.Shards = maxShards + 1 }},
+		{"root id out of range", func(c *Manifest) {
+			c.Roots = append([]RootAssignment(nil), c.Roots...)
+			c.Roots[0].ID = int32(c.Attributes)
 		}},
 	} {
 		c := *m
@@ -297,12 +274,12 @@ func TestManifestCorruptedSealRejected(t *testing.T) {
 	}
 }
 
-// TestSealRejectsForeignVerdicts pins SealLevel1's version guard.
+// TestSealRejectsForeignVerdicts pins sealLevel1's version guard.
 func TestSealRejectsForeignVerdicts(t *testing.T) {
 	ctx := context.Background()
 	g := testGraph(t, 2404)
 	p := testParams()["exact"]
-	m, err := BuildManifest(g, p.SigmaMin, 2, nil)
+	m, err := buildManifest(g, p.SigmaMin, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +288,11 @@ func TestSealRejectsForeignVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.GraphVersion++
-	if err := m.SealLevel1(v); err == nil {
-		t.Fatal("SealLevel1 accepted verdicts from another graph version")
+	if err := m.sealLevel1(v); err == nil {
+		t.Fatal("sealLevel1 accepted verdicts from another graph version")
 	}
 	m.GraphVersion--
-	if err := m.SealLevel1(v); err != nil {
+	if err := m.sealLevel1(v); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Verify(); err != nil {
@@ -324,14 +301,18 @@ func TestSealRejectsForeignVerdicts(t *testing.T) {
 }
 
 func TestManifestErrors(t *testing.T) {
+	ctx := context.Background()
 	g := testGraph(t, 1237)
-	if _, err := BuildManifest(g, 20, 2, []string{"only-one"}); err == nil {
-		t.Error("BuildManifest accepted 1 snapshot path for 2 shards")
+	p := testParams()["exact"]
+	if _, err := BuildManifestSealed(ctx, g, p, 2, []string{"only-one"}); err == nil {
+		t.Error("BuildManifestSealed accepted 1 snapshot path for 2 shards")
 	}
-	if _, err := BuildManifest(g, 0, 2, nil); err == nil {
-		t.Error("BuildManifest accepted sigmaMin=0")
+	p0 := p
+	p0.SigmaMin = 0
+	if _, err := BuildManifestSealed(ctx, g, p0, 2, nil); err == nil {
+		t.Error("BuildManifestSealed accepted sigmaMin=0")
 	}
-	m, err := BuildManifest(g, 20, 2, nil)
+	m, err := BuildManifestSealed(ctx, g, p, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,4 +320,50 @@ func TestManifestErrors(t *testing.T) {
 	if err := m.Verify(); err == nil {
 		t.Error("Verify accepted a bogus format marker")
 	}
+}
+
+// FuzzManifest feeds arbitrary bytes to the manifest decoder. Whatever
+// it accepts must be usable: Verify, Route, Owner and Level1Verdicts on
+// the paper example graph return without panicking. Each input that
+// parses as JSON is also tried resealed — a hand edit needs only a
+// recomputed checksum to load — so the checks behind the checksum see
+// fuzzed values too.
+func FuzzManifest(f *testing.F) {
+	g := graph.PaperExample()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		var m Manifest
+		if json.Unmarshal(data, &m) == nil {
+			m.Seal()
+			resealed, err := json.Marshal(&m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, resealed)
+		}
+		for _, b := range inputs {
+			m, err := decodeManifest(b)
+			if err != nil {
+				continue
+			}
+			if m.Format != ManifestFormatV2 {
+				t.Fatalf("decoded a %q manifest", m.Format)
+			}
+			if err := m.Verify(); err != nil {
+				t.Fatalf("decoded manifest fails Verify: %v", err)
+			}
+			for _, attrs := range [][]string{nil, {"A"}, {"B", "A"}, {"C", "no-such-attr"}} {
+				if k := m.Route(attrs); k < 0 || k >= m.Shards {
+					t.Fatalf("Route(%v) = %d of %d shards", attrs, k, m.Shards)
+				}
+			}
+			for _, k := range []int{0, m.Shards - 1} {
+				owns := m.Owner(k)
+				for a := int32(0); a < int32(g.NumAttributes()); a++ {
+					owns(g, a)
+				}
+			}
+			_, _ = m.Level1Verdicts(g) // an error is a fine answer; only a panic fails
+		}
+	})
 }

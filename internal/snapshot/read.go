@@ -105,8 +105,8 @@ func (b *Boot) MappedBytes() int64 { return int64(b.mapping.Len()) }
 // invalid — only call it once nothing can reach them.
 func (b *Boot) Close() error { return b.mapping.Close() }
 
-// Open opens a v3 snapshot. A v2 file fails with ErrV2Snapshot so
-// callers can fall back to index.Load plus dataset files.
+// Open opens a v3 snapshot. A file of any other version fails with
+// ErrVersion.
 func Open(path string, opts Options) (*Boot, error) {
 	if !mmapio.LittleEndianHost() {
 		return nil, ErrBigEndian
@@ -188,11 +188,7 @@ func parse(data []byte, verifySections bool) (*fileParts, error) {
 	if string(data[:7]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrNotSnapshot, data[:7])
 	}
-	switch data[7] {
-	case version:
-	case 2:
-		return nil, ErrV2Snapshot
-	default:
+	if data[7] != version {
 		return nil, fmt.Errorf("%w: version %d", ErrVersion, data[7])
 	}
 	if size := getU64(data, 8); size != uint64(len(data)) {

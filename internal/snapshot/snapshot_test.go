@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	scpm "github.com/scpm/scpm"
@@ -179,35 +180,46 @@ func TestEncodeDeterministicAndRewriteStable(t *testing.T) {
 	}
 }
 
+// TestSniff checks that Open tells files apart by their header alone:
+// a v3 file opens, a file of another version fails with ErrVersion, a
+// file without the magic fails with ErrNotSnapshot and a file too short
+// to hold a header fails with ErrTruncated.
 func TestSniff(t *testing.T) {
 	g, x := minedPair(t)
 	path := writeV3(t, g, x)
-	if v, err := snapshot.Sniff(path); err != nil || v != 3 {
-		t.Fatalf("Sniff(v3) = %d, %v", v, err)
+	for i, err := range openBoth(path, snapshot.VerifyAuto) {
+		if err != nil {
+			t.Fatalf("open v3 (mode %d): %v", i, err)
+		}
 	}
 
-	v2 := filepath.Join(t.TempDir(), "v2.scpmidx")
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := snapshot.Sniff(v2); err != nil || v != 2 {
-		t.Fatalf("Sniff(v2) = %d, %v", v, err)
+	dir := t.TempDir()
+	v2 := filepath.Join(dir, "v2.scpmidx")
+	os.WriteFile(v2, v2Bytes(), 0o644)
+	if _, err := snapshot.Open(v2, snapshot.Options{}); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("open(v2) err = %v, want ErrVersion", err)
 	}
 
-	junk := filepath.Join(t.TempDir(), "junk")
-	os.WriteFile(junk, []byte("not a snapshot at all"), 0o644)
-	if _, err := snapshot.Sniff(junk); !errors.Is(err, snapshot.ErrNotSnapshot) {
-		t.Fatalf("Sniff(junk) err = %v, want ErrNotSnapshot", err)
+	junk := filepath.Join(dir, "junk")
+	os.WriteFile(junk, bytes.Repeat([]byte("not a snapshot at all "), 4), 0o644)
+	if _, err := snapshot.Open(junk, snapshot.Options{}); !errors.Is(err, snapshot.ErrNotSnapshot) {
+		t.Fatalf("open(junk) err = %v, want ErrNotSnapshot", err)
 	}
-	short := filepath.Join(t.TempDir(), "short")
+	short := filepath.Join(dir, "short")
 	os.WriteFile(short, []byte("SC"), 0o644)
-	if _, err := snapshot.Sniff(short); !errors.Is(err, snapshot.ErrNotSnapshot) {
-		t.Fatalf("Sniff(short) err = %v, want ErrNotSnapshot", err)
+	if _, err := snapshot.Open(short, snapshot.Options{}); !errors.Is(err, snapshot.ErrTruncated) {
+		t.Fatalf("open(short) err = %v, want ErrTruncated", err)
 	}
+}
+
+// v2Bytes returns a file in the retired index-only v2 layout: the
+// shared magic, version byte 2, then a varint-encoded body.
+func v2Bytes() []byte {
+	b := []byte("SCPMIDX\x02")
+	for i := 0; len(b) < 64; i++ {
+		b = binary.AppendUvarint(b, uint64(i*37))
+	}
+	return b
 }
 
 // patch rewrites one file with fn applied to its bytes.
@@ -343,9 +355,17 @@ func TestHostileCorruptCounts(t *testing.T) {
 func TestHostileVersionAndMagic(t *testing.T) {
 	g, x := minedPair(t)
 	path := writeV3(t, g, x)
-	v9 := patch(t, path, func(b []byte) []byte { b[7] = 9; return b })
-	if _, err := snapshot.Open(v9, snapshot.Options{}); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("version 9 err = %v, want ErrVersion", err)
+	// Version 2 is the retired index-only format; it gets no special
+	// treatment.
+	for _, v := range []byte{2, 9} {
+		old := patch(t, path, func(b []byte) []byte { b[7] = v; return b })
+		if _, err := snapshot.Open(old, snapshot.Options{}); !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("version %d err = %v, want ErrVersion", v, err)
+		}
+	}
+	missing := filepath.Join(t.TempDir(), "missing.scpmidx")
+	if _, err := snapshot.Open(missing, snapshot.Options{}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file err = %v, want os.ErrNotExist", err)
 	}
 	junk := patch(t, path, func(b []byte) []byte { copy(b, "GARBAGE!"); return b })
 	if _, err := snapshot.Open(junk, snapshot.Options{}); !errors.Is(err, snapshot.ErrNotSnapshot) {
@@ -353,27 +373,24 @@ func TestHostileVersionAndMagic(t *testing.T) {
 	}
 }
 
+// TestV2CompatSignal checks that a retired v2 file is refused with
+// ErrVersion, naming its version, rather than read as garbage or
+// half-loaded: there is no v2 loader left to fall back to.
 func TestV2CompatSignal(t *testing.T) {
-	_, x := minedPair(t)
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	v2 := filepath.Join(t.TempDir(), "v2.scpmidx")
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(v2, v2Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.Open(v2, snapshot.Options{}); !errors.Is(err, snapshot.ErrV2Snapshot) {
-		t.Fatalf("v2 open err = %v, want ErrV2Snapshot", err)
-	}
-	// The compat path: the same file loads through the v2 loader.
-	f, err := os.Open(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := scpm.LoadIndex(f); err != nil {
-		t.Fatalf("v2 compat load: %v", err)
+	for i, err := range openBoth(v2, snapshot.VerifyAuto) {
+		if !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("v2 open (mode %d) err = %v, want ErrVersion", i, err)
+		}
+		if errors.Is(err, snapshot.ErrNotSnapshot) || errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("v2 open (mode %d) err = %v, want only ErrVersion", i, err)
+		}
+		if want := "version 2"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("v2 open (mode %d) err = %q, want it to name %q", i, err, want)
+		}
 	}
 }
 

@@ -149,24 +149,21 @@ func WithParallelism(n int) Option {
 
 // ShardManifest is the checksummed shard map written by scpm-gateway
 // -plan (internal/shard's Manifest): which shard owns which lattice
-// prefix, against which dataset — and, in its v2 form, every sealed
-// level-1 verdict. Load one with LoadShardManifest and boot a replica
-// from it with WithShardManifest.
+// prefix, against which dataset, and every sealed level-1 verdict.
+// Load one with LoadShardManifest and boot a replica from it with
+// WithShardManifest.
 type ShardManifest = shard.Manifest
 
-// LoadShardManifest reads and verifies a shard manifest file (v1 or
-// v2).
+// LoadShardManifest reads and verifies a shard manifest file.
 func LoadShardManifest(path string) (*ShardManifest, error) { return shard.LoadManifest(path) }
 
 // WithShardManifest boots shard k of the deployment the manifest
 // plans: lattice ownership comes from the manifest's root assignments
 // (re-derived deterministically once live updates move the graph past
-// the planned version), and — when the manifest is v2 — the sealed
-// level-1 verdicts are injected so the boot mine replays every level-1
-// evaluation instead of re-searching it. Mining parameters must match
-// the fingerprint the verdicts were sealed under; Mine fails loudly
-// otherwise. A v1 manifest behaves exactly like WithShard(k,
-// man.Shards).
+// the planned version), and the sealed level-1 verdicts are injected
+// so the boot mine replays every level-1 evaluation instead of
+// re-searching it. Mining parameters must match the fingerprint the
+// verdicts were sealed under; Mine fails loudly otherwise.
 func WithShardManifest(man *ShardManifest, k int) Option {
 	return func(m *Miner) { m.manifest, m.shardK, m.shardN = man, k, man.Shards }
 }
@@ -349,7 +346,7 @@ func (m *Miner) run(ctx context.Context, g *Graph, sink Sink) (*Result, error) {
 }
 
 // paramsFor resolves the run's parameter block for one concrete graph:
-// when a v2 manifest is attached and g still sits at the sealed graph
+// when a manifest is attached and g still sits at the sealed graph
 // version, the sealed level-1 verdicts are reconstructed and injected.
 // Past the sealed version (live updates) the verdicts silently expire
 // and level 1 is evaluated live.

@@ -2,7 +2,6 @@ package scpm
 
 import (
 	"context"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -14,10 +13,10 @@ import (
 
 // Index is a read-optimized, concurrently-queryable view of one mining
 // run's output: stable-id lookups, an attribute-set trie
-// (exact/subset/superset), inverted postings (attribute → sets, vertex
-// → patterns), top-k rankings and a versioned binary snapshot format.
-// Build one with NewIndex, or restore one with LoadIndex; all methods
-// are safe for concurrent use.
+// (exact/subset/superset) and inverted postings (attribute → sets,
+// vertex → patterns). Build one with NewIndex, or restore one together
+// with its graph with OpenSnapshot; all methods are safe for concurrent
+// use.
 type Index = index.Index
 
 // IndexStats summarizes an Index's shape (set/pattern/attribute counts
@@ -28,11 +27,6 @@ type IndexStats = index.Stats
 // the result was mined from; it resolves pattern vertex ids to labels
 // so the index and its snapshots are self-contained.
 func NewIndex(res *Result, g *Graph) *Index { return index.Build(res, g) }
-
-// LoadIndex restores an Index from a snapshot written by Index.Save,
-// verifying its magic, version and checksum. The snapshot is
-// self-contained — no graph is needed to serve lookups from it.
-func LoadIndex(r io.Reader) (*Index, error) { return index.Load(r) }
 
 // LiveIndex is an atomically swappable handle on an immutable Index —
 // the copy-on-write primitive behind the live-update path. Readers
@@ -64,7 +58,8 @@ type ServerConfig struct {
 	// register on and its GET /metrics endpoint serves. Nil means a
 	// private registry — the endpoint still works, it just only sees
 	// this handler's series. Share one registry (NewMetricsRegistry)
-	// across layers to scrape them together.
+	// across layers to scrape them together, but give each handler its
+	// own: /stats reads the handler's counts from it.
 	Metrics *MetricsRegistry
 	// Result, when set together with a non-nil graph, enables the live
 	// update path: POST /updates applies NDJSON graph operations and a

@@ -28,10 +28,6 @@ const (
 // auto verification) is a sensible default.
 type SnapshotOptions = snapshot.Options
 
-// ErrV2Snapshot reports a valid v2 (index-only) snapshot; load it with
-// LoadIndex and pair it with the dataset files instead.
-var ErrV2Snapshot = snapshot.ErrV2Snapshot
-
 // WriteSnapshot atomically writes the v3 snapshot of a graph/index
 // pair: a self-contained, mmap-able file from which OpenSnapshot
 // restores both in milliseconds. The index must have been built from
@@ -41,16 +37,11 @@ func WriteSnapshot(path string, g *Graph, x *Index) error {
 }
 
 // OpenSnapshot restores the graph/index pair of a v3 snapshot written
-// by WriteSnapshot. A v2 file yields ErrV2Snapshot.
+// by WriteSnapshot. A missing file fails with an error matching
+// os.ErrNotExist; a file of any other snapshot version fails with an
+// error naming that version.
 func OpenSnapshot(path string, opts SnapshotOptions) (*SnapshotBoot, error) {
 	return snapshot.Open(path, opts)
-}
-
-// SniffSnapshot reads just the magic of a snapshot file and reports
-// its format version (2 or 3), so boot code can pick a loader without
-// parsing anything.
-func SniffSnapshot(path string) (int, error) {
-	return snapshot.Sniff(path)
 }
 
 // ParseSnapshotMode parses "auto", "mmap" or "materialize".
