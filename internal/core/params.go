@@ -121,7 +121,7 @@ type Params struct {
 	// live updates keep working); verdicts sealed under a different
 	// parameter fingerprint (Level1Fingerprint) fail the run loudly.
 	// internal/shard computes (ComputeLevel1) and ships these in the
-	// scpm-manifest/v2 format; leave nil to evaluate level 1 live.
+	// scpm-manifest/v3 format; leave nil to evaluate level 1 live.
 	Level1Verdicts *Level1Verdicts
 
 	// RecordLattice makes the run memoize every evaluated attribute set
@@ -144,11 +144,6 @@ type Params struct {
 	// DisableSetPruning turns off the Theorem-4/5 attribute-set
 	// pruning, so every frequent set is extended.
 	DisableSetPruning bool
-	// DisableCertSharing turns off the cross-set coverage certificate
-	// store, so every ε evaluation proves coverage from scratch.
-	// Results are bit-identical either way; only search-node counts
-	// change.
-	DisableCertSharing bool
 	// DisableLookahead, DisableDiameterPruning and DisableJumps are
 	// forwarded to the quasi-clique engine.
 	DisableLookahead       bool
@@ -203,11 +198,11 @@ func (p Params) Validate() error {
 // independent), Parallelism, ShardOwner, Level1Verdicts, RecordLattice
 // and ProgressEvery (none change any evaluation outcome).
 func (p Params) Level1Fingerprint() string {
-	return fmt.Sprintf("σ=%d γ=%g ms=%d ε=%g δ=%g k=%d all=%t amin=%d amax=%d ord=%d mode=%d seps=%g sdelta=%g seed=%d budget=%d vp=%t sp=%t cs=%t lk=%t dp=%t j=%t",
+	return fmt.Sprintf("σ=%d γ=%g ms=%d ε=%g δ=%g k=%d all=%t amin=%d amax=%d ord=%d mode=%d seps=%g sdelta=%g seed=%d budget=%d vp=%t sp=%t lk=%t dp=%t j=%t",
 		p.SigmaMin, p.Gamma, p.MinSize, p.EpsMin, p.DeltaMin, p.K, p.AllPatterns,
 		p.MinAttrs, p.MaxAttrs, p.Order, p.EpsilonMode, p.SampleEps, p.SampleDelta,
 		p.Seed, p.SearchBudget, p.DisableVertexPruning, p.DisableSetPruning,
-		p.DisableCertSharing, p.DisableLookahead, p.DisableDiameterPruning, p.DisableJumps)
+		p.DisableLookahead, p.DisableDiameterPruning, p.DisableJumps)
 }
 
 // QuasiCliqueParams returns the embedded quasi-clique definition.

@@ -96,23 +96,19 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, reuse *Latti
 	runErr := m.forEach(ctx, len(singles), func(i int, tl *tally) error {
 		attrs := []int32{singles[i]}
 		muted := m.owner != nil && !m.owner(singles[i])
-		// Each level-1 evaluation gets its own certificate store, which
-		// then travels down its subtree (walked sequentially below), so
-		// certificate reuse never crosses a scheduling boundary.
-		store := m.newCertStore()
-		out, handled, err := m.replay(attrs, muted, store, tl)
+		out, handled, err := m.replay(attrs, muted, tl)
 		if err != nil {
 			return err
 		}
 		if !handled && m.verdicts != nil {
-			out, handled, err = m.replayVerdict(singles[i], attrs, muted, store, tl)
+			out, handled, err = m.replayVerdict(singles[i], attrs, muted, tl)
 			if err != nil {
 				return err
 			}
 		}
 		if !handled {
 			members := g.AttrMembers(singles[i])
-			out, err = m.evaluate(attrs, members, members, muted, store, tl)
+			out, err = m.evaluate(attrs, members, members, muted, tl)
 			if err != nil {
 				return err
 			}
@@ -143,38 +139,6 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, reuse *Latti
 		}
 		return survivors[i].attrs[0] < survivors[j].attrs[0]
 	})
-
-	// Promote the level-1 certificate discoveries to one global base:
-	// every single's private store is absorbed in extension order — the
-	// same canonical order at any Parallelism and shard count, since
-	// every run evaluates (or verdict-replays) every frequent single —
-	// and each surviving subtree walks over a private copy-on-write
-	// layer. Subtree-local discoveries still never cross a scheduling
-	// boundary, so per-set search-node counts stay deterministic, while
-	// all subtrees now start from all siblings' certificates instead of
-	// only their own root's.
-	if !m.p.DisableCertSharing && len(survivors) > 0 {
-		order := make([]int, len(level1))
-		counts := make([]int, len(level1))
-		for i := range level1 {
-			order[i] = i
-			counts[i] = level1[i].item.members.Count()
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ia, ib := order[a], order[b]
-			if counts[ia] != counts[ib] {
-				return counts[ia] < counts[ib]
-			}
-			return level1[ia].item.attrs[0] < level1[ib].item.attrs[0]
-		})
-		global := epsilon.NewCertStore()
-		for _, i := range order {
-			global.Absorb(level1[i].item.certs)
-		}
-		for i := range survivors {
-			survivors[i].certs = epsilon.NewCertStoreFrom(global)
-		}
-	}
 
 	// enumerate-patterns (Algorithm 3): each top-level subtree is
 	// independent given its right-sibling list, so subtrees parallelize.
@@ -265,12 +229,6 @@ type classItem struct {
 	attrs   []int32
 	members *bitset.Set
 	covered *bitset.Set
-	// certs is the coverage certificate store shared by this item's
-	// whole subtree. It is created once per level-1 evaluation and
-	// handed down; the subtree is walked sequentially, so the store
-	// needs no locking and the per-set search-node counts stay
-	// independent of worker scheduling. Nil when sharing is disabled.
-	certs *epsilon.CertStore
 }
 
 // evalOutcome couples an evaluated item with its bucket contributions.
@@ -394,7 +352,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 		// bitset intersection plus a coverage search.
 		if m.reuse != nil {
 			attrs = childAttrs(item, sib)
-			res, handled, err = m.replay(attrs, false, item.certs, tl)
+			res, handled, err = m.replay(attrs, false, tl)
 			if err != nil {
 				return err
 			}
@@ -414,7 +372,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 			if !m.p.DisableVertexPruning {
 				candidates = item.covered.Intersect(sib.covered)
 			}
-			res, err = m.evaluate(attrs, members, candidates, false, item.certs, tl)
+			res, err = m.evaluate(attrs, members, candidates, false, tl)
 			if err != nil {
 				return err
 			}
@@ -448,8 +406,8 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 // (hand-down included) is computed bit-identically, but nothing is
 // emitted, recorded or counted — the owning shard does that exactly
 // once.
-func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, muted bool, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
-	est, err := m.est.EstimateWithCerts(m.g, attrs, members, candidates, certs)
+func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, muted bool, tl *tally) (evalOutcome, error) {
+	est, err := m.est.Estimate(m.g, attrs, members, candidates)
 	if err != nil {
 		return evalOutcome{}, err
 	}
@@ -458,17 +416,7 @@ func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, muted b
 		tl.noteSearchNodes(est.Nodes)
 		tl.noteSampled(int64(est.SampledVertices))
 	}
-	return m.score(attrKey(attrs), attrs, members, members.Count(), est, nil, muted, certs, tl)
-}
-
-// newCertStore returns a fresh certificate store, or nil when sharing
-// is disabled (a nil store degrades every consumer to store-free
-// behavior).
-func (m *miner) newCertStore() *epsilon.CertStore {
-	if m.p.DisableCertSharing {
-		return nil
-	}
-	return epsilon.NewCertStore()
+	return m.score(attrKey(attrs), attrs, members, members.Count(), est, nil, muted, tl)
 }
 
 // replay serves one attribute set from the previous run's lattice when
@@ -478,7 +426,7 @@ func (m *miner) newCertStore() *epsilon.CertStore {
 // Eclat tidset intersection — is the current one. Only the
 // δ-normalization (recomputed by score either way) can differ. handled
 // reports whether the cache answered.
-func (m *miner) replay(attrs []int32, muted bool, certs *epsilon.CertStore, tl *tally) (out evalOutcome, handled bool, err error) {
+func (m *miner) replay(attrs []int32, muted bool, tl *tally) (out evalOutcome, handled bool, err error) {
 	if m.reuse == nil || m.changes.Touches(attrs) {
 		return evalOutcome{}, false, nil
 	}
@@ -491,7 +439,7 @@ func (m *miner) replay(attrs []int32, muted bool, certs *epsilon.CertStore, tl *
 		m.em.noteReused()
 	}
 	members := grownTo(ent.members, m.g.NumVertices())
-	out, err = m.score(key, attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, muted, certs, tl)
+	out, err = m.score(key, attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, muted, tl)
 	return out, true, err
 }
 
@@ -505,12 +453,12 @@ func (m *miner) replay(attrs []int32, muted bool, certs *epsilon.CertStore, tl *
 // same classItem — including the lazy exact hand-down refinement of
 // sampled mode, which siblings' children consume — but suppresses
 // emission, pattern mining, lattice recording and counter updates.
-func (m *miner) score(key string, attrs []int32, members *bitset.Set, sigma int, est epsilon.Estimate, cached *latticeEntry, muted bool, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
+func (m *miner) score(key string, attrs []int32, members *bitset.Set, sigma int, est epsilon.Estimate, cached *latticeEntry, muted bool, tl *tally) (evalOutcome, error) {
 	eps := est.Epsilon
 	expEps := m.model.Exp(sigma)
 	delta := NormalizeDelta(eps, expEps)
 
-	out := evalOutcome{item: classItem{attrs: attrs, members: members, covered: est.Handdown, certs: certs}}
+	out := evalOutcome{item: classItem{attrs: attrs, members: members, covered: est.Handdown}}
 
 	var rec *latticeEntry
 	if m.record != nil && !muted {
@@ -568,7 +516,7 @@ func (m *miner) score(key string, attrs []int32, members *bitset.Set, sigma int,
 				if cached != nil && cached.exact != nil {
 					base = grownTo(cached.exact, m.g.NumVertices())
 				} else {
-					exact, err := m.exactEst.EstimateWithCerts(m.g, attrs, members, est.Handdown, certs)
+					exact, err := m.exactEst.Estimate(m.g, attrs, members, est.Handdown)
 					if err != nil {
 						return evalOutcome{}, err
 					}

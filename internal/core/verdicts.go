@@ -13,12 +13,11 @@ import (
 // Level1Verdict seals one frequent single attribute's complete level-1
 // evaluation: everything a mining run derives from the coverage search
 // of {Attr} — the ε estimate, the Theorem-3 hand-down, the lazily
-// refined exact hand-down of sampled mode, the mined patterns, the
-// search-node bill and the coverage certificates the search discovered.
-// A run injecting the verdict (Params.Level1Verdicts) reproduces the
-// evaluation bit-identically — sibling lists, survival, emission,
-// recorded lattice entry and merged stats included — without running
-// any coverage search.
+// refined exact hand-down of sampled mode, the mined patterns and the
+// search-node bill. A run injecting the verdict (Params.Level1Verdicts)
+// reproduces the evaluation bit-identically — sibling lists, survival,
+// emission, recorded lattice entry and merged stats included — without
+// running any coverage search.
 //
 // Member sets are NOT sealed: V({a}) is the graph's own attribute
 // posting (graph.AttrMembers), identical by construction, so sealing it
@@ -49,17 +48,12 @@ type Level1Verdict struct {
 	// run's SearchNodes so merged shard stats still sum to the
 	// single-process counters.
 	Nodes int64
-	// Certs are the coverage certificates the sealed searches captured,
-	// in discovery order. Replaying them rebuilds the identical global
-	// certificate store, keeping downstream search-node counts
-	// deterministic across shard counts.
-	Certs [][]int32
 }
 
 // Level1Verdicts is a sealed set of level-1 evaluations, keyed by
 // attribute id and pinned to the graph version and parameter
 // fingerprint it was computed under. ComputeLevel1 builds one;
-// internal/shard seals it into scpm-manifest/v2 and injects it into
+// internal/shard seals it into scpm-manifest/v3 and injects it into
 // shard workers via Params.Level1Verdicts.
 type Level1Verdicts struct {
 	graphVersion uint64
@@ -125,16 +119,14 @@ func ComputeLevel1(ctx context.Context, g *graph.Graph, p Params) (*Level1Verdic
 	m.expSigmaMin = m.model.Exp(p.SigmaMin)
 
 	singles := m.frequentSingles()
-	stores := make([]*epsilon.CertStore, len(singles))
 	nodes := make([]int64, len(singles))
 	err := m.forEach(ctx, len(singles), func(i int, tl *tally) error {
 		attrs := []int32{singles[i]}
 		// A private tally isolates this single's node bill; the run-level
 		// tally is unused (the throwaway emitter's totals are discarded).
 		var local tally
-		stores[i] = m.newCertStore()
 		members := g.AttrMembers(singles[i])
-		if _, err := m.evaluate(attrs, members, members, false, stores[i], &local); err != nil {
+		if _, err := m.evaluate(attrs, members, members, false, &local); err != nil {
 			return err
 		}
 		nodes[i] = local.nodes
@@ -164,7 +156,6 @@ func ComputeLevel1(ctx context.Context, g *graph.Graph, p Params) (*Level1Verdic
 			Patterns:        ent.pats,
 			HasPatterns:     ent.hasPats,
 			Nodes:           nodes[i],
-			Certs:           stores[i].Certificates(),
 		})
 	}
 	return out, nil
@@ -173,20 +164,14 @@ func ComputeLevel1(ctx context.Context, g *graph.Graph, p Params) (*Level1Verdic
 // replayVerdict serves one level-1 single from the injected sealed
 // verdicts: the member set comes from the graph's attribute posting,
 // the sealed estimate and pattern state route through score exactly
-// like a lattice replay, the sealed certificates rebuild the single's
-// private store (so the global merge sees the identical stream), and —
-// for owned singles — the sealed search-node bill is credited so merged
-// shard stats still sum to the single-process run's. handled is false
-// when no verdict covers the attribute; the caller then evaluates live.
-func (m *miner) replayVerdict(a int32, attrs []int32, muted bool, store *epsilon.CertStore, tl *tally) (evalOutcome, bool, error) {
+// like a lattice replay, and — for owned singles — the sealed
+// search-node bill is credited so merged shard stats still sum to the
+// single-process run's. handled is false when no verdict covers the
+// attribute; the caller then evaluates live.
+func (m *miner) replayVerdict(a int32, attrs []int32, muted bool, tl *tally) (evalOutcome, bool, error) {
 	v := m.verdicts.Lookup(a)
 	if v == nil {
 		return evalOutcome{}, false, nil
-	}
-	if store != nil {
-		for _, q := range v.Certs {
-			store.Add(q)
-		}
 	}
 	members := m.g.AttrMembers(a)
 	ent := &latticeEntry{
@@ -209,6 +194,6 @@ func (m *miner) replayVerdict(a int32, attrs []int32, muted bool, store *epsilon
 		tl.noteSearchNodes(v.Nodes)
 		tl.noteSampled(int64(v.SampledVertices))
 	}
-	out, err := m.score(attrKey(attrs), attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, muted, store, tl)
+	out, err := m.score(attrKey(attrs), attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, muted, tl)
 	return out, true, err
 }

@@ -76,14 +76,10 @@ type Estimator interface {
 	// be restricted to candidates ⊆ members (Theorem 3; pass members
 	// when no restriction applies). attrs identifies S for deterministic
 	// per-set seeding and must be in canonical (ascending) order.
+	// Each call is self-contained: no search state carries over from
+	// one attribute set to the next, so Nodes depends on the call's
+	// own arguments alone.
 	Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (Estimate, error)
-	// EstimateWithCerts is Estimate with a certificate store: coverage
-	// already proven by certs is not re-searched, and quasi-cliques
-	// discovered along the way are captured into certs for later
-	// evaluations. The Estimate itself must be bit-identical to the
-	// store-free call — certificates only shrink Nodes. A nil store
-	// degrades to Estimate.
-	EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *CertStore) (Estimate, error)
 	// Name identifies the estimator in reports ("exact", "sampled").
 	Name() string
 }
@@ -108,18 +104,9 @@ func (e *Exact) Name() string { return "exact" }
 // set, runs the coverage search and maps the covered set back to
 // parent-graph ids.
 func (e *Exact) Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (Estimate, error) {
-	return e.EstimateWithCerts(g, attrs, members, candidates, nil)
-}
-
-// EstimateWithCerts implements Estimator: applicable certificates seed
-// the coverage search's covered set, and every quasi-clique the search
-// reports is captured back into the store. The covered set K_S is a
-// fixed property of G(S), so the result is bit-identical either way.
-func (e *Exact) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *CertStore) (Estimate, error) {
 	sigma := members.Count()
 	sub := g.InducedByMembers(candidates)
-	seed := certs.seedLocal(sub, candidates)
-	cov, err := quasiclique.CoverageSeeded(quasiclique.NewGraphCSR(sub.CSR()), e.p, e.o, seed, certs.capture(sub))
+	cov, err := quasiclique.Coverage(quasiclique.NewGraphCSR(sub.CSR()), e.p, e.o)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -206,19 +193,9 @@ const SampleWorthFactor = 2
 
 // Estimate implements Estimator.
 func (s *Sampled) Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (Estimate, error) {
-	return s.EstimateWithCerts(g, attrs, members, candidates, nil)
-}
-
-// EstimateWithCerts implements Estimator: sampled vertices covered by an
-// applicable certificate count as hits without an anchored search —
-// identical to the verdict the search would reach, since the anchored
-// query is complete — and quasi-cliques reported by the searches that
-// do run are captured into the store. ε̂, the hand-down and the node
-// budget semantics are bit-identical to the store-free call.
-func (s *Sampled) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *CertStore) (Estimate, error) {
 	sigma := members.Count()
 	if sigma <= SampleWorthFactor*s.m {
-		return s.exact.EstimateWithCerts(g, attrs, members, candidates, certs)
+		return s.exact.Estimate(g, attrs, members, candidates)
 	}
 
 	// Deterministic per-set sample: m draws without replacement from
@@ -236,10 +213,6 @@ func (s *Sampled) EstimateWithCerts(g *graph.Graph, attrs []int32, members, cand
 	if err != nil {
 		return Estimate{}, err
 	}
-	seed := certs.seedLocal(sub, candidates)
-	if sink := certs.capture(sub); sink != nil {
-		eng.SetCertSink(sink)
-	}
 	handdown := candidates.Clone()
 	hits := 0
 	for _, v := range sample {
@@ -248,12 +221,6 @@ func (s *Sampled) EstimateWithCerts(g *graph.Graph, attrs []int32, members, cand
 		// count as misses without a search.
 		local := sub.LocalOf(v)
 		if local < 0 {
-			continue
-		}
-		if seed != nil && seed.Contains(int(local)) {
-			// A certificate proves v covered; the anchored search —
-			// which is complete — would return the same verdict.
-			hits++
 			continue
 		}
 		ok, err := eng.CoversVertex(local)

@@ -35,17 +35,7 @@ type Engine struct {
 	comps      [][]int32
 
 	candsBuf []int32 // reusable root-candidate buffer (one per query)
-
-	certSink func(q []int32) // see SetCertSink
-	certBuf  []int32
 }
-
-// SetCertSink registers fn to receive every quasi-clique the engine's
-// queries report, in g's vertex ids sorted ascending. The slice is
-// reused across calls; receivers copy what they keep. Callers use the
-// sink to harvest coverage certificates from anchored searches (the
-// sets remain quasi-cliques in any graph that contains them induced).
-func (q *Engine) SetCertSink(fn func(q []int32)) { q.certSink = fn }
 
 // NewEngine validates the parameters and builds a query handle for g.
 // Like Coverage, the internal search runs on a degeneracy-relabeled
@@ -102,14 +92,6 @@ func (q *Engine) CoversVertex(v int32) (bool, error) {
 		report: func(set []int32) bool {
 			for _, u := range set {
 				q.found.Add(int(u))
-			}
-			if q.certSink != nil {
-				q.certBuf = q.certBuf[:0]
-				for _, u := range set {
-					q.certBuf = append(q.certBuf, q.ov.origOf[u])
-				}
-				slices.Sort(q.certBuf)
-				q.certSink(q.certBuf)
 			}
 			covered = true
 			return false

@@ -50,27 +50,15 @@ type CoverageResult struct {
 // least one γ-quasi-clique of size ≥ min_size (§3.2.2). It applies the
 // covered-candidate pruning — nodes whose X ∪ candExts is entirely
 // covered are skipped — and stops as soon as every surviving vertex is
-// covered. The frontier order (BFS or DFS) comes from o.Order.
+// covered. The frontier order (BFS or DFS) comes from o.Order. Every
+// call starts from an empty covered set, so Nodes depends on its
+// arguments alone.
 //
 // The search runs on a degeneracy-relabeled copy of the graph (see
 // orderedView): K is a set, so the answer is independent of vertex
 // labels and is translated back to g's ids on the way out, while the
 // relabeled candidate ordering shrinks the search tree.
 func Coverage(g *Graph, p Params, o Options) (CoverageResult, error) {
-	return CoverageSeeded(g, p, o, nil, nil)
-}
-
-// CoverageSeeded is Coverage with a certificate interface: seed (may be
-// nil) is a set of g's vertices already proven covered — each must be a
-// member of some γ-quasi-clique of g of size ≥ min_size — and emit
-// (when non-nil) receives every quasi-clique the search reports, in g's
-// vertex ids sorted ascending (the slice is reused across calls;
-// receivers copy what they keep). Seeding never changes the returned
-// covered set — K is a fixed property of the graph, and the search
-// still visits every branch that could cover an unseeded vertex — it
-// only removes the work of re-proving what the seed already certifies,
-// so Nodes shrinks while Covered stays bit-identical.
-func CoverageSeeded(g *Graph, p Params, o Options, seed *bitset.Set, emit func(q []int32)) (CoverageResult, error) {
 	if err := p.Validate(); err != nil {
 		return CoverageResult{}, err
 	}
@@ -79,19 +67,6 @@ func CoverageSeeded(g *Graph, p Params, o Options, seed *bitset.Set, emit func(q
 	covered := bitset.New(g.n) // new-id space during the search
 	total := e.alive.Count()
 	nCovered := 0
-	if seed != nil {
-		for v := seed.NextSet(0); v >= 0; v = seed.NextSet(v + 1) {
-			nv := int(ov.newOf[v])
-			// Valid certificates only name vertices that survive the
-			// peel, but tolerate stray seeds: counting a dead vertex
-			// would break the covered-vs-alive early stop.
-			if e.alive.Contains(nv) && !covered.Contains(nv) {
-				covered.Add(nv)
-				nCovered++
-			}
-		}
-	}
-	emitBuf := ov.coverBuf
 	h := hooks{
 		prune: func(x []int32, ext int32, cands []int32) bool {
 			for _, v := range x {
@@ -116,25 +91,11 @@ func CoverageSeeded(g *Graph, p Params, o Options, seed *bitset.Set, emit func(q
 					nCovered++
 				}
 			}
-			if emit != nil {
-				emitBuf = emitBuf[:0]
-				for _, v := range q {
-					emitBuf = append(emitBuf, ov.origOf[v])
-				}
-				slices.Sort(emitBuf)
-				emit(emitBuf)
-			}
 			return nCovered < total
 		},
 	}
-	// When the seed already covers every surviving vertex the search
-	// would prune everything node by node; skip it outright.
-	var runErr error
-	if nCovered < total {
-		runErr = e.run(h)
-	}
+	runErr := e.run(h)
 	nodes := e.nodes
-	ov.coverBuf = emitBuf
 	e.release()
 	if runErr != nil {
 		ov.release()

@@ -30,7 +30,6 @@ type orderedView struct {
 	bin, fill []int
 	off       []int64
 	nbrs      []int32
-	coverBuf  []int32 // CoverageSeeded's certificate-emission scratch
 }
 
 // viewPool recycles ordered views across coverage searches. Retained

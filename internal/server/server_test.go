@@ -37,12 +37,6 @@ func (c *countingEstimator) Estimate(g *graph.Graph, attrs []int32, members, can
 	return c.inner.Estimate(g, attrs, members, candidates)
 }
 
-// EstimateWithCerts implements epsilon.Estimator.
-func (c *countingEstimator) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *epsilon.CertStore) (epsilon.Estimate, error) {
-	c.calls.Add(1)
-	return c.inner.EstimateWithCerts(g, attrs, members, candidates, certs)
-}
-
 // Name implements epsilon.Estimator.
 func (c *countingEstimator) Name() string { return c.inner.Name() }
 
@@ -604,11 +598,6 @@ func (p *panickyEstimator) Estimate(g *graph.Graph, attrs []int32, members, cand
 		panic("injected estimator failure")
 	}
 	return p.inner.Estimate(g, attrs, members, candidates)
-}
-
-// EstimateWithCerts implements epsilon.Estimator.
-func (p *panickyEstimator) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *epsilon.CertStore) (epsilon.Estimate, error) {
-	return p.Estimate(g, attrs, members, candidates)
 }
 
 // Name implements epsilon.Estimator.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -233,6 +234,31 @@ func TestUpdatesValidation(t *testing.T) {
 	if ver["data_version"].(float64) != 1 {
 		t.Fatalf("rejected batch advanced the data version: %v", ver)
 	}
+}
+
+// FuzzUpdateOps feeds arbitrary POST /updates bodies through the
+// handler's decode-and-apply path on the quickstart (paper example)
+// graph: parseUpdateOps must either reject the body or return ops whose
+// apply, and the final graph.Apply, answer with an error or nil —
+// never a panic. Run: go test -run '^$' -fuzz FuzzUpdateOps ./internal/server
+func FuzzUpdateOps(f *testing.F) {
+	base := graph.PaperExample()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, err := parseUpdateOps(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(ops) == 0 {
+			t.Fatal("parseUpdateOps accepted an empty batch")
+		}
+		d := base.NewDelta()
+		for _, op := range ops {
+			if op.apply(d) != nil {
+				return
+			}
+		}
+		_, _, _ = base.Apply(d) // an error is a fine answer; only a panic fails
+	})
 }
 
 // TestUpdatesConcurrentReads is the no-drop/no-block guarantee under

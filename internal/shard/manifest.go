@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -15,10 +14,10 @@ import (
 	"github.com/scpm/scpm/internal/graph"
 )
 
-// ManifestFormatV2 is the manifest format marker: the shard plan plus
+// ManifestFormatV3 is the manifest format marker: the shard plan plus
 // every sealed level-1 verdict, so shard workers skip those coverage
 // searches. See docs/FILE_FORMATS.md for the full spec.
-const ManifestFormatV2 = "scpm-manifest/v2"
+const ManifestFormatV3 = "scpm-manifest/v3"
 
 // maxShards bounds a manifest's shard count. After every live update a
 // replica re-derives an n-way plan in O(n) memory and O(roots·n) time,
@@ -41,7 +40,7 @@ type RootAssignment struct {
 // snapshot lives. scpm-serve -shard boots its slice from it and
 // scpm-gateway routes single-owner queries with it.
 type Manifest struct {
-	// Format is always ManifestFormatV2.
+	// Format is always ManifestFormatV3.
 	Format string `json:"format"`
 	// Shards is the number of partitions N.
 	Shards int `json:"shards"`
@@ -84,7 +83,7 @@ type SealedLevel1 struct {
 // SealedVerdict is one root's serialized core.Level1Verdict. Member
 // sets are not sealed (they are the graph's own attribute postings);
 // bitsets serialize as base64 of their canonical little-endian byte
-// form, certificates as base64 of little-endian int32s. HasHanddown /
+// form. HasHanddown /
 // HasExact / HasPatterns distinguish "absent" from "present but empty"
 // — the distinction changes replay behavior, so it must survive the
 // round trip.
@@ -102,7 +101,6 @@ type SealedVerdict struct {
 	Exact           string          `json:"exact,omitempty"`
 	HasPatterns     bool            `json:"has_patterns,omitempty"`
 	Patterns        []SealedPattern `json:"patterns,omitempty"`
-	Certs           []string        `json:"certs,omitempty"`
 }
 
 // SealedPattern is one sealed top-k pattern of a root. The attribute
@@ -132,7 +130,7 @@ func buildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manife
 		}
 	}
 	m := &Manifest{
-		Format:       ManifestFormatV2,
+		Format:       ManifestFormatV3,
 		Shards:       n,
 		SigmaMin:     sigmaMin,
 		Vertices:     g.NumVertices(),
@@ -162,8 +160,8 @@ func (m *Manifest) Seal() {
 // Verify checks the format marker, the checksum, the plan's invariants
 // and the shape of the sealed level-1 payload.
 func (m *Manifest) Verify() error {
-	if m.Format != ManifestFormatV2 {
-		return fmt.Errorf("shard: manifest format %q, want %q", m.Format, ManifestFormatV2)
+	if m.Format != ManifestFormatV3 {
+		return fmt.Errorf("shard: manifest format %q, want %q", m.Format, ManifestFormatV3)
 	}
 	if m.Level1 == nil {
 		return fmt.Errorf("shard: %s manifest has no level-1 seal", m.Format)
@@ -359,9 +357,6 @@ func (m *Manifest) sealLevel1(v *core.Level1Verdicts) error {
 		for _, p := range d.Patterns {
 			sv.Patterns = append(sv.Patterns, SealedPattern{Vertices: p.Vertices, MinDeg: p.MinDeg, Edges: p.Edges})
 		}
-		for _, c := range d.Certs {
-			sv.Certs = append(sv.Certs, sealInts(c))
-		}
 		sealed.Verdicts[i] = sv
 	}
 	m.Level1 = sealed
@@ -420,16 +415,6 @@ func (m *Manifest) Level1Verdicts(g *graph.Graph) (*core.Level1Verdicts, error) 
 				d.Patterns[j] = core.Pattern{Attrs: attrs, Names: names, Vertices: p.Vertices, MinDeg: p.MinDeg, Edges: p.Edges}
 			}
 		}
-		if len(s.Certs) > 0 {
-			d.Certs = make([][]int32, len(s.Certs))
-			for j, c := range s.Certs {
-				vs, err := unsealInts(c)
-				if err != nil {
-					return nil, fmt.Errorf("shard: root %q certificate %d: %w", sv.Attr, j, err)
-				}
-				d.Certs[j] = vs
-			}
-		}
 		out.Add(d)
 	}
 	return out, nil
@@ -456,31 +441,6 @@ func (m *Manifest) Owner(k int) func(*graph.Graph, int32) bool {
 		}
 		return fallback(g, root)
 	}
-}
-
-// sealInts renders int32s as base64 of their little-endian bytes.
-func sealInts(vs []int32) string {
-	b := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return base64.StdEncoding.EncodeToString(b)
-}
-
-// unsealInts reverses sealInts.
-func unsealInts(enc string) ([]int32, error) {
-	b, err := base64.StdEncoding.DecodeString(enc)
-	if err != nil {
-		return nil, err
-	}
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("shard: %d-byte int32 run is not a multiple of 4", len(b))
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
 }
 
 // unsealBitset reverses the base64-of-Bytes bitset encoding at

@@ -116,7 +116,7 @@ func TestManifestRouting(t *testing.T) {
 	}
 }
 
-// TestManifestSealedRoundTrip covers the v2 format end to end, in
+// TestManifestSealedRoundTrip covers the v3 format end to end, in
 // exact and sampled ε modes: Write→Load→Write is byte-identical (the
 // seal is canonical), the reconstructed verdicts drive a sharded mine
 // to the bit-identical single-process answer through the manifest's
@@ -131,8 +131,8 @@ func TestManifestSealedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Format != ManifestFormatV2 {
-				t.Fatalf("sealed manifest format %q, want %q", m.Format, ManifestFormatV2)
+			if m.Format != ManifestFormatV3 {
+				t.Fatalf("sealed manifest format %q, want %q", m.Format, ManifestFormatV3)
 			}
 			if m.Level1 == nil || len(m.Level1.Verdicts) != len(m.Roots) {
 				t.Fatalf("sealed manifest carries %d verdicts for %d roots", len(m.Level1.Verdicts), len(m.Roots))
@@ -200,22 +200,25 @@ func TestManifestSealedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestV1Rejected pins the retirement of the plan-only format:
-// a manifest marked scpm-manifest/v1, even with a valid checksum, fails
-// to load.
+// TestManifestV1Rejected pins the retirement of the older formats: a
+// manifest marked scpm-manifest/v1 (plan only) or scpm-manifest/v2
+// (verdicts with coverage certificates), even with a valid checksum,
+// fails to load with an error naming its format.
 func TestManifestV1Rejected(t *testing.T) {
 	g := testGraph(t, 2402)
 	m, err := buildManifest(g, testParams()["exact"].SigmaMin, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Format = "scpm-manifest/v1"
-	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := WriteManifest(m, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), "scpm-manifest/v1") {
-		t.Fatalf("LoadManifest accepted a v1 manifest (err=%v)", err)
+	for _, format := range []string{"scpm-manifest/v1", "scpm-manifest/v2"} {
+		m.Format = format
+		path := filepath.Join(t.TempDir(), "old.json")
+		if err := WriteManifest(m, path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), format) {
+			t.Fatalf("LoadManifest accepted a %s manifest (err=%v)", format, err)
+		}
 	}
 }
 
@@ -231,7 +234,7 @@ func TestManifestCorruptedSealRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "v2.json")
+	path := filepath.Join(t.TempDir(), "v3.json")
 	if err := WriteManifest(m, path); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +257,7 @@ func TestManifestCorruptedSealRejected(t *testing.T) {
 		name   string
 		mutate func(*Manifest)
 	}{
-		{"v2 without payload", func(c *Manifest) { c.Level1 = nil }},
+		{"v3 without payload", func(c *Manifest) { c.Level1 = nil }},
 		{"verdict count mismatch", func(c *Manifest) {
 			c.Level1 = &SealedLevel1{ParamsKey: m.Level1.ParamsKey, Verdicts: m.Level1.Verdicts[:len(m.Level1.Verdicts)-1]}
 		}},
@@ -346,7 +349,7 @@ func FuzzManifest(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if m.Format != ManifestFormatV2 {
+			if m.Format != ManifestFormatV3 {
 				t.Fatalf("decoded a %q manifest", m.Format)
 			}
 			if err := m.Verify(); err != nil {
